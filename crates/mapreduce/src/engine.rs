@@ -20,8 +20,8 @@ use ecstore::{
     BlockStore, DegradedReadError, DegradedReadPlan, FetchPolicy, SourceSelection, StripeLayout,
 };
 use erasure::CodeParams;
-use netsim::{FlowId, FlowLogEntry, FlowLogKind, NetConfig, Network};
-use obs::event::{DegradedPhase, LinkSet, SimEvent};
+use netsim::{FlowId, NetConfig, Network};
+use obs::event::{DegradedPhase, SimEvent};
 use obs::sink::{EventSink, Recorder};
 use simkit::calendar::Calendar;
 use simkit::time::{SimDuration, SimTime};
@@ -38,27 +38,6 @@ fn obs_locality(locality: MapLocality) -> obs::event::Locality {
         MapLocality::RackLocal => obs::event::Locality::RackLocal,
         MapLocality::Remote => obs::event::Locality::Remote,
         MapLocality::Degraded => obs::event::Locality::Degraded,
-    }
-}
-
-/// Converts one netsim flow-log entry into the trace vocabulary.
-fn flow_log_event(entry: &FlowLogEntry) -> SimEvent {
-    let flow = entry.flow.as_u64();
-    match entry.kind {
-        FlowLogKind::Started {
-            src,
-            dst,
-            bytes,
-            route,
-        } => SimEvent::FlowStarted {
-            flow,
-            src: src as u32,
-            dst: dst as u32,
-            bytes,
-            links: LinkSet::from_slice(route.as_slice()),
-        },
-        FlowLogKind::RateChanged { rate_bps } => SimEvent::FlowRate { flow, rate_bps },
-        FlowLogKind::Finished { cancelled } => SimEvent::FlowFinished { flow, cancelled },
     }
 }
 
@@ -812,7 +791,7 @@ impl Engine {
         mut rec: Recorder<'_>,
     ) -> Result<RunResult, RunError> {
         if rec.is_enabled() {
-            self.net.enable_flow_log();
+            self.net.enable_flow_log(rec.flow_rate_thinning());
             for node in self.topo.node_ids() {
                 if !self.cstate.is_alive(node) {
                     rec.emit(SimTime::ZERO, || SimEvent::NodeFailed { node: node.0 });
@@ -889,11 +868,7 @@ impl Engine {
                 Event::NodeFails(node) => self.on_node_fails(node, &mut rec),
                 Event::NodeRecovers(node) => self.on_node_recovers(node, &mut rec),
             }
-            if rec.is_enabled() {
-                for entry in self.net.take_flow_log() {
-                    rec.emit(entry.at, || flow_log_event(&entry));
-                }
-            }
+            self.net.drain_flow_log(&mut rec);
             if let Some(err) = self.fatal.take() {
                 return Err(err);
             }

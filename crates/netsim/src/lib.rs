@@ -30,6 +30,4 @@
 pub mod fairshare;
 pub mod network;
 
-pub use network::{
-    FlowId, FlowLogEntry, FlowLogKind, FlowRoute, FlowStats, NetConfig, Network, UtilizationSample,
-};
+pub use network::{FlowId, FlowStats, NetConfig, Network, UtilizationSample};

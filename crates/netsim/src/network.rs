@@ -21,6 +21,8 @@
 
 use std::collections::HashMap;
 
+use obs::event::{LinkSet, SimEvent};
+use obs::sink::{FlowRateFilterConfig, Recorder};
 use simkit::time::{SimDuration, SimTime};
 
 use crate::fairshare::FairshareWorkspace;
@@ -86,7 +88,7 @@ impl FlowStats {
 /// A flow's route, stored inline: every route in the two-level tree is
 /// at most 4 links (`src NIC up, src rack up, dst rack down, dst NIC
 /// down`), so no heap allocation is ever needed.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Path {
     len: u8,
     links: [u32; 4],
@@ -118,24 +120,9 @@ impl AsRef<[u32]> for Path {
     }
 }
 
-/// A flow's route as the flow event log exposes it: the link indices the
-/// flow traverses (empty for loopback).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FlowRoute {
-    len: u8,
-    links: [u32; 4],
-}
-
-impl FlowRoute {
-    /// The traversed link indices.
-    pub fn as_slice(&self) -> &[u32] {
-        &self.links[..self.len as usize]
-    }
-}
-
 /// What happened to a flow, as recorded by the opt-in flow event log.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FlowLogKind {
+enum FlowLogKind {
     /// The flow was registered.
     Started {
         /// Source node index.
@@ -144,8 +131,8 @@ pub enum FlowLogKind {
         dst: usize,
         /// Payload size in bytes.
         bytes: u64,
-        /// Links the flow traverses.
-        route: FlowRoute,
+        /// Links the flow traverses (empty for loopback).
+        route: Path,
     },
     /// Max-min reallocation assigned the flow a new rate. Loopback flows
     /// (infinite rate) never log rate changes.
@@ -162,13 +149,76 @@ pub enum FlowLogKind {
 
 /// One timestamped entry of the flow event log.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FlowLogEntry {
+struct FlowLogEntry {
     /// When it happened.
-    pub at: SimTime,
+    at: SimTime,
     /// The flow concerned.
-    pub flow: FlowId,
+    flow: FlowId,
     /// What happened.
-    pub kind: FlowLogKind,
+    kind: FlowLogKind,
+}
+
+impl FlowLogEntry {
+    /// The entry in the trace vocabulary.
+    fn to_event(self) -> SimEvent {
+        let flow = self.flow.as_u64();
+        match self.kind {
+            FlowLogKind::Started {
+                src,
+                dst,
+                bytes,
+                route,
+            } => SimEvent::FlowStarted {
+                flow,
+                src: src as u32,
+                dst: dst as u32,
+                bytes,
+                links: LinkSet::from_slice(route.as_slice()),
+            },
+            FlowLogKind::RateChanged { rate_bps } => SimEvent::FlowRate { flow, rate_bps },
+            FlowLogKind::Finished { cancelled } => SimEvent::FlowFinished { flow, cancelled },
+        }
+    }
+}
+
+/// The opt-in flow event log, plus the per-flow state of at-source
+/// `flow_rate` thinning when a sink requested it.
+#[derive(Clone, Debug, Default)]
+struct FlowLog {
+    entries: Vec<FlowLogEntry>,
+    thinning: Option<RateThinning>,
+}
+
+/// [`FlowRateFilterConfig`] applied where rates are produced. Its state
+/// lives here rather than in `ActiveFlow`, so untraced runs keep the
+/// flow table's layout.
+#[derive(Clone, Debug)]
+struct RateThinning {
+    cfg: FlowRateFilterConfig,
+    /// Last logged `(rate_bps, at)` of each active flow, slot-aligned
+    /// with `Network::flows` (so it resets when the flow leaves).
+    last: Vec<Option<(f64, SimTime)>>,
+    /// Rate changes dropped since the last drain.
+    dropped: u64,
+}
+
+impl FlowLog {
+    fn push(&mut self, at: SimTime, flow: FlowId, kind: FlowLogKind) {
+        self.entries.push(FlowLogEntry { at, flow, kind });
+    }
+
+    /// Logs a new rate for the flow in `slot`, unless thinning drops it.
+    fn rate_changed(&mut self, slot: usize, flow: FlowId, rate_bps: f64, at: SimTime) {
+        if let Some(thin) = &mut self.thinning {
+            let last = &mut thin.last[slot];
+            if !thin.cfg.keeps(*last, rate_bps, at) {
+                thin.dropped += 1;
+                return;
+            }
+            *last = Some((rate_bps, at));
+        }
+        self.push(at, flow, FlowLogKind::RateChanged { rate_bps });
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -230,7 +280,7 @@ pub struct Network {
     /// entries here for the observability layer to drain. `None` (the
     /// default) keeps the hot paths branch-only, preserving bit-identical
     /// untraced runs.
-    flow_log: Option<Vec<FlowLogEntry>>,
+    flow_log: Option<FlowLog>,
     rack_bps: f64,
     /// Reused scratch for rate reallocation — flows start/finish on
     /// every simulated transfer, so this path must not allocate.
@@ -300,19 +350,47 @@ impl Network {
     /// Starts recording per-flow lifecycle entries (start, rate change,
     /// finish) for the observability layer. Call before the first flow
     /// starts; logging stays enabled for the network's lifetime.
-    pub fn enable_flow_log(&mut self) {
-        if self.flow_log.is_none() {
-            self.flow_log = Some(Vec::new());
-        }
+    ///
+    /// With `thinning` (a traced producer passes
+    /// [`Recorder::flow_rate_thinning`]), a rate change that
+    /// [`FlowRateFilterConfig::keeps`] rejects against the flow's last
+    /// *logged* rate is counted instead of logged, so a
+    /// `FlowRateFilter` downstream receives exactly the events it keeps.
+    pub fn enable_flow_log(&mut self, thinning: Option<FlowRateFilterConfig>) {
+        let log = self.flow_log.get_or_insert_with(FlowLog::default);
+        log.thinning = thinning.map(|cfg| RateThinning {
+            cfg,
+            last: vec![None; self.flows.len()],
+            dropped: 0,
+        });
     }
 
     /// Drains the accumulated flow log entries, in the order they were
     /// recorded. Returns an empty vector unless
     /// [`Network::enable_flow_log`] was called.
-    pub fn take_flow_log(&mut self) -> Vec<FlowLogEntry> {
+    #[cfg(test)]
+    fn take_flow_log(&mut self) -> Vec<FlowLogEntry> {
         match &mut self.flow_log {
-            Some(log) => std::mem::take(log),
+            Some(log) => std::mem::take(&mut log.entries),
             None => Vec::new(),
+        }
+    }
+
+    /// Forwards the accumulated flow log into `rec` as trace events,
+    /// then hands it the count of rate changes thinned at the source.
+    /// The one bridge from the flow log to a trace; a no-op unless
+    /// [`Network::enable_flow_log`] was called.
+    pub fn drain_flow_log(&mut self, rec: &mut Recorder<'_>) {
+        let Some(log) = &mut self.flow_log else {
+            return;
+        };
+        for entry in log.entries.drain(..) {
+            rec.emit(entry.at, || entry.to_event());
+        }
+        if let Some(thin) = &mut log.thinning {
+            if thin.dropped > 0 {
+                rec.flow_rates_thinned(std::mem::take(&mut thin.dropped));
+            }
         }
     }
 
@@ -367,19 +445,19 @@ impl Network {
         self.next_id += 1;
         let path = self.path_for(src, dst);
         if let Some(log) = &mut self.flow_log {
-            log.push(FlowLogEntry {
-                at: now,
-                flow: id,
-                kind: FlowLogKind::Started {
+            log.push(
+                now,
+                id,
+                FlowLogKind::Started {
                     src,
                     dst,
                     bytes,
-                    route: FlowRoute {
-                        len: path.len,
-                        links: path.links,
-                    },
+                    route: path,
                 },
-            });
+            );
+            if let Some(thin) = &mut log.thinning {
+                thin.last.push(None);
+            }
         }
         self.index_of.insert(id, self.flows.len());
         self.flows.push(ActiveFlow {
@@ -431,17 +509,10 @@ impl Network {
     /// Cancels an active flow, returning its stats if it existed.
     pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<FlowStats> {
         self.advance_to(now);
-        let idx = self.index_of.remove(&id)?;
-        let flow = self.flows.swap_remove(idx);
-        if let Some(moved) = self.flows.get(idx) {
-            self.index_of.insert(moved.id, idx);
-        }
+        let idx = *self.index_of.get(&id)?;
+        let flow = self.remove_slot(idx);
         if let Some(log) = &mut self.flow_log {
-            log.push(FlowLogEntry {
-                at: now,
-                flow: id,
-                kind: FlowLogKind::Finished { cancelled: true },
-            });
+            log.push(now, id, FlowLogKind::Finished { cancelled: true });
         }
         self.reallocate(now);
         Some(FlowStats {
@@ -481,11 +552,7 @@ impl Network {
         let mut i = 0;
         while i < self.flows.len() {
             if self.flows[i].remaining_bits <= DONE_EPS_BITS {
-                let flow = self.flows.swap_remove(i);
-                self.index_of.remove(&flow.id);
-                if let Some(moved) = self.flows.get(i) {
-                    self.index_of.insert(moved.id, i);
-                }
+                let flow = self.remove_slot(i);
                 done.push((
                     flow.id,
                     FlowStats {
@@ -503,17 +570,27 @@ impl Network {
         done.sort_by_key(|(id, _)| *id);
         if let Some(log) = &mut self.flow_log {
             for (id, _) in &done {
-                log.push(FlowLogEntry {
-                    at: now,
-                    flow: *id,
-                    kind: FlowLogKind::Finished { cancelled: false },
-                });
+                log.push(now, *id, FlowLogKind::Finished { cancelled: false });
             }
         }
         if !done.is_empty() {
             self.reallocate(now);
         }
         done
+    }
+
+    /// Removes the flow in `slot`, keeping `index_of` and any thinning
+    /// state slot-aligned.
+    fn remove_slot(&mut self, slot: usize) -> ActiveFlow {
+        let flow = self.flows.swap_remove(slot);
+        self.index_of.remove(&flow.id);
+        if let Some(moved) = self.flows.get(slot) {
+            self.index_of.insert(moved.id, slot);
+        }
+        if let Some(thin) = self.flow_log.as_mut().and_then(|l| l.thinning.as_mut()) {
+            thin.last.swap_remove(slot);
+        }
+        flow
     }
 
     fn advance_to(&mut self, now: SimTime) {
@@ -565,16 +642,12 @@ impl Network {
             &mut self.rates_buf,
         );
         let mut earliest: Option<SimTime> = None;
-        for (flow, &rate) in self.flows.iter_mut().zip(self.rates_buf.iter()) {
+        for (slot, (flow, &rate)) in self.flows.iter_mut().zip(self.rates_buf.iter()).enumerate() {
             // Fairshare rates are a deterministic function of the flow
             // set, so exact f64 comparison suffices to detect changes.
             if rate != flow.rate_bps && rate.is_finite() {
                 if let Some(log) = &mut self.flow_log {
-                    log.push(FlowLogEntry {
-                        at: now,
-                        flow: flow.id,
-                        kind: FlowLogKind::RateChanged { rate_bps: rate },
-                    });
+                    log.rate_changed(slot, flow.id, rate, now);
                 }
             }
             flow.rate_bps = rate;
@@ -835,7 +908,7 @@ mod flow_log_tests {
     #[test]
     fn logs_full_flow_lifecycle() {
         let mut net = Network::new(&[2, 2], NetConfig::uniform(100_000_000));
-        net.enable_flow_log();
+        net.enable_flow_log(None);
         let a = net.start_flow(SimTime::ZERO, 0, 2, BLOCK);
         let entries = net.take_flow_log();
         assert_eq!(entries.len(), 2, "{entries:?}");
@@ -874,7 +947,7 @@ mod flow_log_tests {
     #[test]
     fn logs_rate_changes_on_contention() {
         let mut net = Network::new(&[2, 1], NetConfig::uniform(100_000_000));
-        net.enable_flow_log();
+        net.enable_flow_log(None);
         let a = net.start_flow(SimTime::ZERO, 2, 0, BLOCK);
         net.take_flow_log();
         // Second flow shares the rack downlink: both drop to half rate.
@@ -893,7 +966,7 @@ mod flow_log_tests {
     #[test]
     fn cancel_logs_cancelled_finish() {
         let mut net = Network::new(&[1, 1], NetConfig::gigabit());
-        net.enable_flow_log();
+        net.enable_flow_log(None);
         let a = net.start_flow(SimTime::ZERO, 0, 1, BLOCK);
         net.take_flow_log();
         net.cancel_flow(SimTime::from_millis(10), a);
@@ -908,7 +981,7 @@ mod flow_log_tests {
     #[test]
     fn loopback_flows_log_no_rate_changes() {
         let mut net = Network::new(&[2], NetConfig::gigabit());
-        net.enable_flow_log();
+        net.enable_flow_log(None);
         net.start_flow(SimTime::ZERO, 1, 1, BLOCK);
         let entries = net.take_flow_log();
         assert_eq!(entries.len(), 1, "{entries:?}");
@@ -921,6 +994,96 @@ mod flow_log_tests {
         let mut net = Network::new(&[1, 1], NetConfig::gigabit());
         net.start_flow(SimTime::ZERO, 0, 1, 1_000);
         assert!(net.take_flow_log().is_empty());
+    }
+}
+
+#[cfg(test)]
+mod thinning_tests {
+    use super::*;
+    use obs::sink::EventSink;
+
+    const BLOCK: u64 = 128 * 1024 * 1024;
+
+    /// Thresholds no later rate can meet: only first rates are logged.
+    fn first_rates_only() -> Option<FlowRateFilterConfig> {
+        Some(FlowRateFilterConfig {
+            min_delta_bps: f64::INFINITY,
+            min_interval: SimDuration::ZERO,
+        })
+    }
+
+    fn logged_rates(net: &mut Network) -> Vec<(FlowId, f64)> {
+        net.take_flow_log()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                FlowLogKind::RateChanged { rate_bps } => Some((e.flow, rate_bps)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Counts the `flow_rate` events and at-source drops it is handed.
+    #[derive(Default)]
+    struct Counting {
+        rates: u64,
+        thinned: u64,
+    }
+
+    impl EventSink for Counting {
+        fn record(&mut self, _at: SimTime, event: &SimEvent) {
+            if matches!(event, SimEvent::FlowRate { .. }) {
+                self.rates += 1;
+            }
+        }
+
+        fn flow_rates_thinned(&mut self, count: u64) {
+            self.thinned += count;
+        }
+    }
+
+    #[test]
+    fn first_rate_of_every_flow_is_logged() {
+        let mut net = Network::new(&[2, 1], NetConfig::uniform(100_000_000));
+        net.enable_flow_log(first_rates_only());
+        let a = net.start_flow(SimTime::ZERO, 2, 0, BLOCK);
+        assert_eq!(logged_rates(&mut net), vec![(a, 1e8)]);
+        // `b` shares the rack downlink: `a` drops to half rate (thinned),
+        // `b`'s first rate is logged regardless of the thresholds.
+        let b = net.start_flow(SimTime::from_secs(2), 2, 1, BLOCK);
+        let mut sink = Counting::default();
+        net.drain_flow_log(&mut Recorder::on(&mut sink));
+        assert_eq!((sink.rates, sink.thinned), (1, 1));
+        net.start_flow(SimTime::from_secs(3), 2, 0, BLOCK);
+        let rates = logged_rates(&mut net);
+        assert!(rates.iter().all(|&(f, _)| f != a && f != b), "{rates:?}");
+        assert_eq!(rates.len(), 1);
+    }
+
+    #[test]
+    fn thinning_state_resets_when_a_flow_is_cancelled_or_finishes() {
+        let mut net = Network::new(&[2, 2], NetConfig::uniform(100_000_000));
+        net.enable_flow_log(first_rates_only());
+        let a = net.start_flow(SimTime::ZERO, 0, 2, BLOCK);
+        assert_eq!(logged_rates(&mut net), vec![(a, 1e8)]);
+        net.cancel_flow(SimTime::from_secs(1), a);
+        // `b` takes `a`'s slot; stale state there would thin its first rate.
+        let b = net.start_flow(SimTime::from_secs(2), 0, 2, BLOCK);
+        assert_eq!(logged_rates(&mut net), vec![(b, 1e8)]);
+        let done = net.next_completion().unwrap();
+        assert_eq!(net.complete_flows(done), vec![b]);
+        let c = net.start_flow(done, 1, 3, BLOCK);
+        assert_eq!(logged_rates(&mut net), vec![(c, 1e8)]);
+    }
+
+    #[test]
+    fn drain_without_drops_hands_on_no_count() {
+        let mut net = Network::new(&[2, 1], NetConfig::uniform(100_000_000));
+        net.enable_flow_log(None);
+        net.start_flow(SimTime::ZERO, 2, 0, BLOCK);
+        net.start_flow(SimTime::from_secs(2), 2, 1, BLOCK);
+        let mut sink = Counting::default();
+        net.drain_flow_log(&mut Recorder::on(&mut sink));
+        assert_eq!((sink.rates, sink.thinned), (3, 0));
     }
 }
 

@@ -1,11 +1,14 @@
 //! Property-based tests for the flow-level network: feasibility and
-//! max-min optimality of rate allocations, byte conservation, and
-//! monotonicity of completion under contention.
+//! max-min optimality of rate allocations, byte conservation,
+//! monotonicity of completion under contention, and at-source
+//! `flow_rate` thinning against the sink-side filter.
 
 use netsim::fairshare::{max_min_rates, max_min_rates_ref, FairshareWorkspace};
-use netsim::{NetConfig, Network};
+use netsim::{FlowId, NetConfig, Network};
+use obs::event::SimEvent;
+use obs::sink::{EventSink, FlowRateFilter, FlowRateFilterConfig, Recorder, VecSink};
 use proptest::prelude::*;
-use simkit::time::SimTime;
+use simkit::time::{SimDuration, SimTime};
 
 fn random_paths(num_links: usize, max_flows: usize) -> impl Strategy<Value = Vec<Vec<usize>>> {
     proptest::collection::vec(
@@ -220,5 +223,86 @@ proptest! {
             done_at.unwrap()
         };
         prop_assert!(contended >= solo, "contended {contended} < solo {solo}");
+    }
+}
+
+/// Records every event and at-source drop count it is handed, without
+/// thinning anything itself.
+#[derive(Default)]
+struct RawSink {
+    events: Vec<(SimTime, SimEvent)>,
+    thinned: u64,
+}
+
+impl EventSink for RawSink {
+    fn record(&mut self, at: SimTime, event: &SimEvent) {
+        self.events.push((at, event.clone()));
+    }
+
+    fn flow_rates_thinned(&mut self, count: u64) {
+        self.thinned += count;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Thinning in the network logs exactly what `FlowRateFilter` keeps
+    /// of the full log, and counts exactly what it drops, across starts,
+    /// batch starts, cancellations (which move flows between slots) and
+    /// completions.
+    #[test]
+    fn at_source_thinning_matches_flow_rate_filter(
+        ops in proptest::collection::vec((0u8..4, 0usize..6, 0usize..6, 1u64..64, 0u64..4000), 1..40),
+        delta_idx in 0usize..3,
+        interval_idx in 0usize..3,
+    ) {
+        let cfg = FlowRateFilterConfig {
+            min_delta_bps: [0.0, 1e6, 3e7][delta_idx],
+            min_interval: SimDuration::from_secs([0, 1, 5][interval_idx]),
+        };
+        let mut plain = Network::new(&[3, 3], NetConfig::uniform(100_000_000));
+        plain.enable_flow_log(None);
+        let mut thinned = plain.clone();
+        thinned.enable_flow_log(Some(cfg));
+        let mut oracle_out = VecSink::new();
+        let mut oracle = FlowRateFilter::new(&mut oracle_out, cfg);
+        let mut raw = RawSink::default();
+        let mut now = SimTime::ZERO;
+        let mut live: Vec<FlowId> = Vec::new();
+        for (kind, a, b, mb, dt_ms) in ops {
+            now += SimDuration::from_millis(dt_ms);
+            let bytes = mb * 1_000_000;
+            match kind {
+                0 => {
+                    let id = plain.start_flow(now, a, b, bytes);
+                    prop_assert_eq!(thinned.start_flow(now, a, b, bytes), id);
+                    live.push(id);
+                }
+                1 => {
+                    let specs = [(a, b, bytes), (b, (a + 1) % 6, bytes / 2 + 1)];
+                    let ids = plain.start_flows(now, &specs);
+                    prop_assert_eq!(thinned.start_flows(now, &specs), ids.clone());
+                    live.extend(ids);
+                }
+                2 if !live.is_empty() => {
+                    let id = live.remove(a % live.len());
+                    prop_assert_eq!(plain.cancel_flow(now, id), thinned.cancel_flow(now, id));
+                }
+                _ => {
+                    if let Some(t) = plain.next_completion() {
+                        now = now.max(t);
+                    }
+                    let done = plain.drain_finished(now);
+                    prop_assert_eq!(thinned.drain_finished(now), done.clone());
+                    live.retain(|id| done.iter().all(|(f, _)| f != id));
+                }
+            }
+            plain.drain_flow_log(&mut Recorder::on(&mut oracle));
+            thinned.drain_flow_log(&mut Recorder::on(&mut raw));
+        }
+        let suppressed = oracle.suppressed();
+        prop_assert_eq!(raw.thinned, suppressed);
+        prop_assert!(raw.events == oracle_out.events, "thinned log differs from the filter's output");
     }
 }

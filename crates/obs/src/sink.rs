@@ -14,6 +14,22 @@ use crate::event::SimEvent;
 pub trait EventSink {
     /// Consumes one event occurring at `at`.
     fn record(&mut self, at: SimTime, event: &SimEvent);
+
+    /// The `flow_rate` thinning this sink applies, if any. A producer of
+    /// rate changes may apply the same [`FlowRateFilterConfig::keeps`]
+    /// rule at the source, so the events the sink would drop are never
+    /// built. Wrappers that do not forward this (the default) simply
+    /// receive every event.
+    fn flow_rate_thinning(&self) -> Option<FlowRateFilterConfig> {
+        None
+    }
+
+    /// Reports `count` `flow_rate` events the producer dropped at the
+    /// source under [`EventSink::flow_rate_thinning`]. A no-op unless
+    /// the sink counts what it suppresses.
+    fn flow_rates_thinned(&mut self, count: u64) {
+        let _ = count;
+    }
 }
 
 /// A maybe-disabled handle to an [`EventSink`].
@@ -49,6 +65,22 @@ impl<'a> Recorder<'a> {
     pub fn emit(&mut self, at: SimTime, make: impl FnOnce() -> SimEvent) {
         if let Some(sink) = self.sink.as_deref_mut() {
             sink.record(at, &make());
+        }
+    }
+
+    /// The attached sink's [`EventSink::flow_rate_thinning`]; `None`
+    /// when disabled.
+    pub fn flow_rate_thinning(&self) -> Option<FlowRateFilterConfig> {
+        self.sink
+            .as_deref()
+            .and_then(|sink| sink.flow_rate_thinning())
+    }
+
+    /// Hands an at-source drop count to the attached sink's
+    /// [`EventSink::flow_rates_thinned`].
+    pub fn flow_rates_thinned(&mut self, count: u64) {
+        if let Some(sink) = self.sink.as_deref_mut() {
+            sink.flow_rates_thinned(count);
         }
     }
 }
@@ -98,13 +130,13 @@ impl EventSink for Tee<'_> {
 ///
 /// Max-min fair-share reallocation re-rates every flow sharing a link on
 /// each arrival or departure, so `flow_rate` dominates long traces by an
-/// order of magnitude. This adapter forwards every non-`flow_rate` event
-/// untouched and thins the rest: a flow's first rate always passes, and a
-/// subsequent one passes only when at least [`min_interval`] has elapsed
-/// since the last *emitted* rate for that flow **and** the rate moved by
-/// at least [`min_delta_bps`]. The final rate before `flow_finished` may
-/// therefore be suppressed — consumers needing exact byte accounting
-/// should trace unfiltered.
+/// order of magnitude. Thinning keeps every non-`flow_rate` event and
+/// thins the rest: a flow's first rate always passes, and a subsequent
+/// one passes only when at least [`min_interval`] has elapsed since the
+/// last *emitted* rate for that flow **and** the rate moved by at least
+/// [`min_delta_bps`] — the one rule is [`FlowRateFilterConfig::keeps`].
+/// The final rate before `flow_finished` may therefore be suppressed —
+/// consumers needing exact byte accounting should trace unfiltered.
 ///
 /// With both thresholds zero every event passes, byte-identically.
 ///
@@ -118,7 +150,37 @@ pub struct FlowRateFilterConfig {
     pub min_interval: SimDuration,
 }
 
+impl FlowRateFilterConfig {
+    /// The keep/drop rule for one rate of a flow, shared by
+    /// [`FlowRateFilter`] and by producers thinning at the source.
+    /// `last` is the flow's last *kept* `(rate_bps, at)`, `None` before
+    /// its first.
+    #[inline]
+    pub fn keeps(&self, last: Option<(f64, SimTime)>, rate_bps: f64, at: SimTime) -> bool {
+        match last {
+            None => true,
+            Some((last_rate, last_at)) => {
+                (rate_bps - last_rate).abs() >= self.min_delta_bps
+                    && at.duration_since(last_at) >= self.min_interval
+            }
+        }
+    }
+}
+
 /// An [`EventSink`] adapter applying [`FlowRateFilterConfig`]; see there.
+///
+/// The filter advertises its thresholds through
+/// [`EventSink::flow_rate_thinning`]. A producer handed the filter
+/// directly (the MapReduce engine and `repair`, through
+/// `netsim::Network::enable_flow_log`) then drops rate changes before
+/// building them and reports how many through
+/// [`EventSink::flow_rates_thinned`], which [`FlowRateFilter::suppressed`]
+/// includes. The filter still checks every event it receives, but since
+/// it updates its per-flow state only on kept events, the events thinned
+/// at the source are exactly the ones it would have dropped: the output
+/// is byte-identical either way. Behind a wrapper that hides the hook
+/// (a [`Tee`], a probe), or on a stream replayed from a file, the filter
+/// does all the thinning itself.
 pub struct FlowRateFilter<'a> {
     inner: &'a mut dyn EventSink,
     cfg: FlowRateFilterConfig,
@@ -138,7 +200,8 @@ impl<'a> FlowRateFilter<'a> {
         }
     }
 
-    /// How many `flow_rate` events were dropped so far.
+    /// How many `flow_rate` events were dropped so far, here or at the
+    /// source.
     pub fn suppressed(&self) -> u64 {
         self.suppressed
     }
@@ -148,13 +211,9 @@ impl EventSink for FlowRateFilter<'_> {
     fn record(&mut self, at: SimTime, event: &SimEvent) {
         match event {
             SimEvent::FlowRate { flow, rate_bps } => {
-                if let Some(&(last_rate, last_at)) = self.last.get(flow) {
-                    let moved = (rate_bps - last_rate).abs() >= self.cfg.min_delta_bps;
-                    let due = at.duration_since(last_at) >= self.cfg.min_interval;
-                    if !(moved && due) {
-                        self.suppressed += 1;
-                        return;
-                    }
+                if !self.cfg.keeps(self.last.get(flow).copied(), *rate_bps, at) {
+                    self.suppressed += 1;
+                    return;
                 }
                 self.last.insert(*flow, (*rate_bps, at));
             }
@@ -186,6 +245,14 @@ impl EventSink for FlowRateFilter<'_> {
             | SimEvent::RepairFinished { .. } => {}
         }
         self.inner.record(at, event);
+    }
+
+    fn flow_rate_thinning(&self) -> Option<FlowRateFilterConfig> {
+        Some(self.cfg)
+    }
+
+    fn flow_rates_thinned(&mut self, count: u64) {
+        self.suppressed += count;
     }
 }
 
@@ -314,6 +381,28 @@ mod tests {
         }
         assert_eq!(filter.suppressed(), 0);
         assert_eq!(plain.events, filtered_inner.events);
+    }
+
+    #[test]
+    fn only_the_filter_requests_thinning_and_counts_upstream_drops() {
+        let cfg = FlowRateFilterConfig {
+            min_delta_bps: 1e6,
+            min_interval: SimDuration::from_secs(5),
+        };
+        let mut inner = VecSink::new();
+        assert_eq!(inner.flow_rate_thinning(), None);
+        let mut filter = FlowRateFilter::new(&mut inner, cfg);
+        let mut rec = Recorder::on(&mut filter);
+        assert_eq!(rec.flow_rate_thinning(), Some(cfg));
+        rec.flow_rates_thinned(5);
+        rec.emit(SimTime::ZERO, || rate(1, 10.0));
+        rec.emit(SimTime::from_secs(1), || rate(1, 20.0)); // dropped here
+        assert_eq!(filter.suppressed(), 6);
+        assert_eq!(Recorder::off().flow_rate_thinning(), None);
+        // A tee hides the hook: both branches see every event.
+        let (mut a, mut b) = (VecSink::new(), VecSink::new());
+        let mut filter = FlowRateFilter::new(&mut b, cfg);
+        assert_eq!(Tee::new(&mut a, &mut filter).flow_rate_thinning(), None);
     }
 
     #[test]

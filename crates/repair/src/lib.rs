@@ -38,8 +38,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use cluster::{ClusterState, NodeId, Topology};
 use ecstore::{BlockRef, BlockStore};
-use netsim::{FlowId, FlowLogKind, NetConfig, Network};
-use obs::event::{LinkSet, SimEvent};
+use netsim::{FlowId, NetConfig, Network};
+use obs::event::SimEvent;
 use obs::sink::{EventSink, Recorder};
 use simkit::time::{SimDuration, SimTime};
 use simkit::SimRng;
@@ -222,36 +222,6 @@ pub struct RepairReport {
     pub task_durations: Vec<SimDuration>,
 }
 
-/// Converts one netsim flow-log entry into the trace vocabulary.
-fn flow_log_event(entry: &netsim::FlowLogEntry) -> SimEvent {
-    let flow = entry.flow.as_u64();
-    match entry.kind {
-        FlowLogKind::Started {
-            src,
-            dst,
-            bytes,
-            route,
-        } => SimEvent::FlowStarted {
-            flow,
-            src: src as u32,
-            dst: dst as u32,
-            bytes,
-            links: LinkSet::from_slice(route.as_slice()),
-        },
-        FlowLogKind::RateChanged { rate_bps } => SimEvent::FlowRate { flow, rate_bps },
-        FlowLogKind::Finished { cancelled } => SimEvent::FlowFinished { flow, cancelled },
-    }
-}
-
-/// Forwards any buffered flow-log entries of `net` into `rec`.
-fn drain_flow_log(net: &mut Network, rec: &mut Recorder<'_>) {
-    if rec.is_enabled() {
-        for entry in net.take_flow_log() {
-            rec.emit(entry.at, || flow_log_event(&entry));
-        }
-    }
-}
-
 /// Executes a plan on the fluid network: at most `parallelism` block
 /// reconstructions in flight; each task opens its network-source flows
 /// in parallel and completes when the last one lands.
@@ -321,7 +291,7 @@ fn simulate_inner(
     assert!(parallelism > 0, "repair needs parallelism >= 1");
     let mut net = Network::new(&topo.rack_sizes(), net_config);
     if rec.is_enabled() {
-        net.enable_flow_log();
+        net.enable_flow_log(rec.flow_rate_thinning());
     }
     let mut now = SimTime::ZERO;
     let mut next_task = 0usize;
@@ -380,7 +350,7 @@ fn simulate_inner(
         }
         next_task += 1;
     }
-    drain_flow_log(&mut net, rec);
+    net.drain_flow_log(rec);
     // Drain the network, refilling the window as tasks finish.
     while !inflight.is_empty() {
         let t = net
@@ -417,7 +387,7 @@ fn simulate_inner(
                 }
             }
         }
-        drain_flow_log(&mut net, rec);
+        net.drain_flow_log(rec);
     }
     debug_assert_eq!(next_task, plan.tasks.len());
     RepairReport {
@@ -605,6 +575,49 @@ mod tests {
         // Timestamps are globally non-decreasing.
         for pair in sink.events.windows(2) {
             assert!(pair[0].0 <= pair[1].0);
+        }
+    }
+
+    /// Forwards events but hides [`EventSink::flow_rate_thinning`], so a
+    /// filter behind it does all the thinning itself.
+    struct HideHook<'a>(&'a mut dyn EventSink);
+
+    impl EventSink for HideHook<'_> {
+        fn record(&mut self, at: SimTime, event: &SimEvent) {
+            self.0.record(at, event);
+        }
+    }
+
+    #[test]
+    fn at_source_thinning_matches_the_sink_only_filter() {
+        use obs::jsonl::JsonlSink;
+        use obs::sink::{FlowRateFilter, FlowRateFilterConfig};
+
+        let (topo, store, state, mut rng) = setup(&[0]);
+        let plan = RepairPlan::plan(&store, &topo, &state, &mut rng).unwrap();
+        let bb = 64 * 1024 * 1024u64;
+        let trace = |cfg: FlowRateFilterConfig, at_source: bool| {
+            let mut jsonl = JsonlSink::new(Vec::new());
+            let mut filter = FlowRateFilter::new(&mut jsonl, cfg);
+            let sink: &mut dyn EventSink = if at_source {
+                &mut filter
+            } else {
+                &mut HideHook(&mut filter)
+            };
+            simulate_traced(&plan, &topo, &state, NetConfig::gigabit(), bb, 4, sink);
+            let suppressed = filter.suppressed();
+            (jsonl.finish().unwrap(), suppressed)
+        };
+        for (delta, secs) in [(1e6, 5), (1e6, 0), (0.0, 1)] {
+            let cfg = FlowRateFilterConfig {
+                min_delta_bps: delta,
+                min_interval: SimDuration::from_secs(secs),
+            };
+            let (thinned, thinned_n) = trace(cfg, true);
+            let (oracle, oracle_n) = trace(cfg, false);
+            assert!(thinned == oracle, "{cfg:?}: traces differ");
+            assert_eq!(thinned_n, oracle_n, "{cfg:?}: suppressed counts differ");
+            assert!(oracle_n > 0, "{cfg:?} thinned nothing");
         }
     }
 }
