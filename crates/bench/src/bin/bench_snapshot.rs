@@ -3,9 +3,9 @@
 //! SIMD tier) and the Reed–Solomon stripe paths built on them under the
 //! *same* harness, plus current throughput of the long-running suites,
 //! the sweep engine's shards/sec at 1/2/4 worker threads, fair-share
-//! reallocation at 1k- and 10k-node scale (dense epoch pass vs the
-//! bounded-recompute sparse pass, pinned bit-identical to the retained
-//! naive reference), one full 10,000-node sweep shard, and the
+//! reallocation per flow event at fig7, 1k- and 10k-node scale (the
+//! retained naive reference vs the incremental allocator, pinned
+//! bit-identical to it), one full 10,000-node sweep shard, and the
 //! wall-clock of a fixed fig7-style configuration. Everything is
 //! written to `BENCH_PR7.json` in the current directory. The PR 1
 //! recorded numbers are embedded as constants so the perf trajectory
@@ -21,7 +21,7 @@ use dfs::erasure::gf256::{mul_acc_slice_ref, Gf256};
 use dfs::erasure::rs::{CodeConstruction, ReedSolomon};
 use dfs::erasure::{simd, CodeParams};
 use dfs::experiment::Policy;
-use dfs::netsim::fairshare::{max_min_rates_ref, FairshareWorkspace};
+use dfs::netsim::fairshare::{max_min_rates_ref, FairShare};
 use dfs::netsim::{NetConfig, Network};
 use dfs::presets;
 use dfs::simkit::calendar::Calendar;
@@ -184,55 +184,7 @@ fn rs_reconstruct_one() -> (f64, f64) {
     (full_s, one_s)
 }
 
-/// A realistic reallocation mix for the 40-node/4-rack fig7 topology:
-/// 256 concurrent flows (the churn benchmark's steady state). The
-/// reference side does what the pre-change `Network::reallocate` did per
-/// event — clone every path into a fresh `Vec<Vec<usize>>` and run the
-/// allocating naive allocator.
-fn fairshare_realloc() -> (f64, f64) {
-    let (nodes, racks, flows) = (40usize, 4usize, 256usize);
-    let num_links = 2 * nodes + 2 * racks;
-    let caps = vec![1e9f64; num_links];
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    let paths: Vec<Vec<usize>> = (0..flows)
-        .map(|_| {
-            let src = (xorshift(&mut state) as usize) % nodes;
-            let dst = (xorshift(&mut state) as usize) % nodes;
-            let (sr, dr) = (src / (nodes / racks), dst / (nodes / racks));
-            if src == dst {
-                Vec::new()
-            } else if sr == dr {
-                vec![2 * src, 2 * dst + 1]
-            } else {
-                vec![
-                    2 * src,
-                    2 * nodes + 2 * sr,
-                    2 * nodes + 2 * dr + 1,
-                    2 * dst + 1,
-                ]
-            }
-        })
-        .collect();
-    let ref_s = time_per_call(|| {
-        let cloned: Vec<Vec<usize>> = paths.clone();
-        let rates = max_min_rates_ref(&caps, &cloned);
-        assert_eq!(rates.len(), flows);
-    });
-
-    let paths32: Vec<Vec<u32>> = paths
-        .iter()
-        .map(|p| p.iter().map(|&l| l as u32).collect())
-        .collect();
-    let mut ws = FairshareWorkspace::new();
-    let mut rates = Vec::new();
-    let opt_s = time_per_call(|| {
-        ws.compute(&caps, &paths32, &mut rates);
-        assert_eq!(rates.len(), flows);
-    });
-    (ref_s, opt_s)
-}
-
-/// Builds the synthetic reallocation mix used by the scale suites:
+/// Builds the synthetic reallocation mix used by the fair-share suites:
 /// `flows` transfers over a `nodes`-host, `racks`-rack topology with
 /// two links per host and two per rack (the netsim link layout).
 fn scale_paths(nodes: usize, racks: usize, flows: usize) -> Vec<Vec<usize>> {
@@ -258,40 +210,59 @@ fn scale_paths(nodes: usize, racks: usize, flows: usize) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Fair-share reallocation at cluster scale: times the dense
-/// epoch-workspace pass against the bounded-recompute sparse pass on
-/// the same flow mix, and pins the sparse rates bit-identical to the
-/// retained naive reference. Returns (dense, sparse) seconds per call.
+/// Fair-share reallocation per flow event: `flows` live transfers, and
+/// each timed churn step removes one flow, adds one from a fresh mix and
+/// recomputes every rate — the work a network does when a transfer ends
+/// and another starts. The reference rebuilds its input and re-scans
+/// every link; the incremental allocator updates its link→flow
+/// incidence and runs the freeze rounds over the loaded links. The
+/// incremental rates are pinned bit-identical to the reference over the
+/// final live set. Returns (reference, incremental) seconds per step.
 fn fairshare_realloc_at(nodes: usize, racks: usize, flows: usize) -> (f64, f64) {
     let num_links = 2 * nodes + 2 * racks;
     let caps = vec![1e9f64; num_links];
-    let paths = scale_paths(nodes, racks, flows);
-    let paths32: Vec<Vec<u32>> = paths
-        .iter()
-        .map(|p| p.iter().map(|&l| l as u32).collect())
-        .collect();
-    let mut ws = FairshareWorkspace::new();
-    let mut rates = Vec::new();
-    let dense_s = time_per_call(|| {
-        ws.compute(&caps, &paths32, &mut rates);
+    let mix = scale_paths(nodes, racks, 2 * flows);
+    let (initial, arrivals) = mix.split_at(flows);
+    let churn = |state: &mut u64, step: &mut usize| {
+        let slot = (xorshift(state) as usize) % flows;
+        let next = &arrivals[*step % arrivals.len()];
+        *step += 1;
+        (slot, next)
+    };
+
+    let mut live: Vec<Vec<usize>> = initial.to_vec();
+    let (mut state, mut step) = (0x243f_6a88_85a3_08d3u64, 0usize);
+    let ref_s = time_per_call(|| {
+        let (slot, next) = churn(&mut state, &mut step);
+        live.swap_remove(slot);
+        live.push(next.clone());
+        let rates = max_min_rates_ref(&caps, &live);
         assert_eq!(rates.len(), flows);
     });
-    let mut ws_sparse = FairshareWorkspace::new();
-    let mut sparse_rates = Vec::new();
-    let sparse_s = time_per_call(|| {
-        ws_sparse.compute_sparse(&caps, &paths32, &mut sparse_rates);
-        assert_eq!(sparse_rates.len(), flows);
+
+    let as_u32 = |p: &[usize]| p.iter().map(|&l| l as u32).collect::<Vec<u32>>();
+    let mut fs = FairShare::new();
+    for p in initial {
+        fs.push(&as_u32(p));
+    }
+    let mut rates = Vec::new();
+    let (mut state, mut step) = (0x243f_6a88_85a3_08d3u64, 0usize);
+    let incremental_s = time_per_call(|| {
+        let (slot, next) = churn(&mut state, &mut step);
+        fs.swap_remove(slot);
+        fs.push(&as_u32(next));
+        fs.compute(&caps, &mut rates);
+        assert_eq!(rates.len(), flows);
     });
-    let reference = max_min_rates_ref(&caps, &paths);
+    let live: Vec<Vec<usize>> = (0..flows)
+        .map(|s| fs.path(s).iter().map(|&l| l as usize).collect())
+        .collect();
     assert_eq!(
-        sparse_rates, reference,
-        "sparse fair-share drifted from the retained reference at {nodes} nodes"
+        rates,
+        max_min_rates_ref(&caps, &live),
+        "incremental fair-share drifted from the retained reference at {nodes} nodes"
     );
-    assert_eq!(
-        rates, reference,
-        "dense fair-share drifted at {nodes} nodes"
-    );
-    (dense_s, sparse_s)
+    (ref_s, incremental_s)
 }
 
 /// The sweep-throughput grid: 12 fig7-small shards (LF/EDF × node/rack
@@ -451,28 +422,19 @@ fn main() {
         rec_full / rec_one
     );
 
-    let (fs_ref, fs_opt) = fairshare_realloc();
-    println!(
-        "fairshare realloc (256 flows): ref {:.1} us, opt {:.1} us, speedup {:.2}x",
-        fs_ref * 1e6,
-        fs_opt * 1e6,
-        fs_ref / fs_opt
-    );
-
-    let (fs1k_dense, fs1k_sparse) = fairshare_realloc_at(1_000, 10, 1_024);
-    println!(
-        "fairshare realloc 1k nodes / 1024 flows: dense {:.1} us, sparse {:.1} us, speedup {:.2}x",
-        fs1k_dense * 1e6,
-        fs1k_sparse * 1e6,
-        fs1k_dense / fs1k_sparse
-    );
-    let (fs10k_dense, fs10k_sparse) = fairshare_realloc_at(10_000, 100, 4_096);
-    println!(
-        "fairshare realloc 10k nodes / 4096 flows: dense {:.1} us, sparse {:.1} us, speedup {:.2}x",
-        fs10k_dense * 1e6,
-        fs10k_sparse * 1e6,
-        fs10k_dense / fs10k_sparse
-    );
+    let fairshare_suites =
+        [(40, 4, 256), (1_000, 10, 1_024), (10_000, 100, 4_096)].map(|(nodes, racks, flows)| {
+            let (reference, incremental) = fairshare_realloc_at(nodes, racks, flows);
+            println!(
+                "fairshare churn step {nodes} nodes / {flows} flows: ref {:.1} us, \
+                 incremental {:.1} us, speedup {:.2}x",
+                reference * 1e6,
+                incremental * 1e6,
+                reference / incremental
+            );
+            (reference, incremental)
+        });
+    let [(fs_ref, fs_inc), (fs1k_ref, fs1k_inc), (fs10k_ref, fs10k_inc)] = fairshare_suites;
 
     let sweep_rates = sweep_shards_per_sec(&[1, 2, 4]);
     for &(threads, rate) in &sweep_rates {
@@ -560,18 +522,19 @@ fn main() {
   }},
   "netsim_fairshare_realloc_256_flows": {{
     "ref_s_per_call": {fsr:.9},
-    "opt_s_per_call": {fso:.9},
-    "speedup": {fsx:.2}
+    "incremental_s_per_call": {fsi:.9},
+    "speedup": {fsx:.2},
+    "bit_identical_to_ref": true
   }},
   "netsim_fairshare_realloc_1k_nodes_1024_flows": {{
-    "dense_s_per_call": {fs1kd:.9},
-    "sparse_s_per_call": {fs1ks:.9},
+    "ref_s_per_call": {fs1kr:.9},
+    "incremental_s_per_call": {fs1ki:.9},
     "speedup": {fs1kx:.2},
     "bit_identical_to_ref": true
   }},
   "netsim_fairshare_realloc_10k_nodes_4096_flows": {{
-    "dense_s_per_call": {fs10kd:.9},
-    "sparse_s_per_call": {fs10ks:.9},
+    "ref_s_per_call": {fs10kr:.9},
+    "incremental_s_per_call": {fs10ki:.9},
     "speedup": {fs10kx:.2},
     "bit_identical_to_ref": true
   }},
@@ -620,14 +583,14 @@ fn main() {
         rone = rec_one,
         rr = rec_full / rec_one,
         fsr = fs_ref,
-        fso = fs_opt,
-        fsx = fs_ref / fs_opt,
-        fs1kd = fs1k_dense,
-        fs1ks = fs1k_sparse,
-        fs1kx = fs1k_dense / fs1k_sparse,
-        fs10kd = fs10k_dense,
-        fs10ks = fs10k_sparse,
-        fs10kx = fs10k_dense / fs10k_sparse,
+        fsi = fs_inc,
+        fsx = fs_ref / fs_inc,
+        fs1kr = fs1k_ref,
+        fs1ki = fs1k_inc,
+        fs1kx = fs1k_ref / fs1k_inc,
+        fs10kr = fs10k_ref,
+        fs10ki = fs10k_inc,
+        fs10kx = fs10k_ref / fs10k_inc,
         sw1 = sweep_rates[0].1,
         sw2 = sweep_rates[1].1,
         sw4 = sweep_rates[2].1,

@@ -25,7 +25,7 @@ use obs::event::{LinkSet, SimEvent};
 use obs::sink::{FlowRateFilterConfig, Recorder};
 use simkit::time::{SimDuration, SimTime};
 
-use crate::fairshare::FairshareWorkspace;
+use crate::fairshare::FairShare;
 
 /// Identifies an active or finished flow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -111,12 +111,6 @@ impl Path {
 
     fn as_slice(&self) -> &[u32] {
         &self.links[..self.len as usize]
-    }
-}
-
-impl AsRef<[u32]> for Path {
-    fn as_ref(&self) -> &[u32] {
-        self.as_slice()
     }
 }
 
@@ -229,7 +223,6 @@ struct ActiveFlow {
     bytes: u64,
     remaining_bits: f64,
     rate_bps: f64,
-    path: Path,
     started: SimTime,
 }
 
@@ -282,9 +275,9 @@ pub struct Network {
     /// untraced runs.
     flow_log: Option<FlowLog>,
     rack_bps: f64,
-    /// Reused scratch for rate reallocation — flows start/finish on
-    /// every simulated transfer, so this path must not allocate.
-    fairshare: FairshareWorkspace,
+    /// Routes of the active flows, slot-aligned with `flows`, and the
+    /// link→flow incidence that rate reallocation runs on.
+    fairshare: FairShare,
     rates_buf: Vec<f64>,
 }
 
@@ -328,7 +321,7 @@ impl Network {
             utilization_log: None,
             flow_log: None,
             rack_bps: config.rack_bps as f64,
-            fairshare: FairshareWorkspace::new(),
+            fairshare: FairShare::new(),
             rates_buf: Vec::new(),
         }
     }
@@ -460,6 +453,7 @@ impl Network {
             }
         }
         self.index_of.insert(id, self.flows.len());
+        self.fairshare.push(path.as_slice());
         self.flows.push(ActiveFlow {
             id,
             src,
@@ -467,7 +461,6 @@ impl Network {
             bytes,
             remaining_bits: (bytes as f64) * 8.0,
             rate_bps: 0.0,
-            path,
             started: now,
         });
         id
@@ -579,10 +572,11 @@ impl Network {
         done
     }
 
-    /// Removes the flow in `slot`, keeping `index_of` and any thinning
-    /// state slot-aligned.
+    /// Removes the flow in `slot`, keeping `index_of`, the fair-share
+    /// incidence and any thinning state slot-aligned.
     fn remove_slot(&mut self, slot: usize) -> ActiveFlow {
         let flow = self.flows.swap_remove(slot);
+        self.fairshare.swap_remove(slot);
         self.index_of.remove(&flow.id);
         if let Some(moved) = self.flows.get(slot) {
             self.index_of.insert(moved.id, slot);
@@ -591,6 +585,40 @@ impl Network {
             thin.last.swap_remove(slot);
         }
         flow
+    }
+
+    /// Checks the state kept slot-aligned with the active flows, for
+    /// tests: the fair-share incidence is consistent and routes slot
+    /// `i` as flow `i`, `index_of` maps every flow to its slot, and any
+    /// thinning state has one entry per flow.
+    #[doc(hidden)]
+    pub fn check_slots(&self) -> Result<(), String> {
+        self.fairshare.check_incidence()?;
+        if self.fairshare.len() != self.flows.len() || self.index_of.len() != self.flows.len() {
+            return Err(format!(
+                "{} flows, {} routes, {} index entries",
+                self.flows.len(),
+                self.fairshare.len(),
+                self.index_of.len()
+            ));
+        }
+        for (slot, flow) in self.flows.iter().enumerate() {
+            let route = self.path_for(flow.src, flow.dst);
+            if self.fairshare.path(slot) != route.as_slice() {
+                return Err(format!("slot {slot} is not routed as flow {:?}", flow.id));
+            }
+            if self.index_of.get(&flow.id) != Some(&slot) {
+                return Err(format!("index_of misplaces flow {:?}", flow.id));
+            }
+        }
+        match self.flow_log.as_ref().and_then(|l| l.thinning.as_ref()) {
+            Some(thin) if thin.last.len() != self.flows.len() => Err(format!(
+                "{} thinning entries for {} flows",
+                thin.last.len(),
+                self.flows.len()
+            )),
+            _ => Ok(()),
+        }
     }
 
     fn advance_to(&mut self, now: SimTime) {
@@ -603,15 +631,15 @@ impl Network {
         if dt > 0.0 {
             let mut rack_down_bits = 0.0f64;
             let n = self.num_nodes();
-            for flow in &mut self.flows {
+            for (slot, flow) in self.flows.iter_mut().enumerate() {
                 if flow.rate_bps.is_infinite() {
                     flow.remaining_bits = 0.0;
                 } else {
                     flow.remaining_bits = (flow.remaining_bits - flow.rate_bps * dt).max(0.0);
                     if self.utilization_log.is_some()
-                        && flow
-                            .path
-                            .as_slice()
+                        && self
+                            .fairshare
+                            .path(slot)
                             .iter()
                             .any(|&l| l as usize >= 2 * n && l % 2 == 1)
                     {
@@ -632,15 +660,8 @@ impl Network {
     }
 
     fn reallocate(&mut self, now: SimTime) {
-        // Bounded recompute: only the links current flows cross are
-        // touched, which keeps per-event reallocation independent of
-        // the topology's total link count (bit-identical to the dense
-        // `compute`; see fairshare module docs).
-        self.fairshare.compute_sparse(
-            &self.capacities,
-            self.flows.iter().map(|f| &f.path),
-            &mut self.rates_buf,
-        );
+        self.fairshare
+            .compute(&self.capacities, &mut self.rates_buf);
         let mut earliest: Option<SimTime> = None;
         for (slot, (flow, &rate)) in self.flows.iter_mut().zip(self.rates_buf.iter()).enumerate() {
             // Fairshare rates are a deterministic function of the flow

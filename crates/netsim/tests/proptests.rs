@@ -1,9 +1,14 @@
 //! Property-based tests for the flow-level network: feasibility and
-//! max-min optimality of rate allocations, byte conservation,
+//! max-min optimality of rate allocations, bit-identity of the
+//! incremental allocator with the reference, the allocator's link→flow
+//! incidence over random operation sequences, byte conservation,
 //! monotonicity of completion under contention, and at-source
 //! `flow_rate` thinning against the sink-side filter.
 
-use netsim::fairshare::{max_min_rates, max_min_rates_ref, FairshareWorkspace};
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
+
+use netsim::fairshare::{max_min_rates_ref, FairShare};
 use netsim::{FlowId, NetConfig, Network};
 use obs::event::SimEvent;
 use obs::sink::{EventSink, FlowRateFilter, FlowRateFilterConfig, Recorder, VecSink};
@@ -18,6 +23,26 @@ fn random_paths(num_links: usize, max_flows: usize) -> impl Strategy<Value = Vec
     .prop_map(|flows| flows.into_iter().map(|s| s.into_iter().collect()).collect())
 }
 
+/// Pushes `paths` into `fs` in order.
+fn push_all(fs: &mut FairShare, paths: &[Vec<usize>]) {
+    for p in paths {
+        fs.push(&p.iter().map(|&l| l as u32).collect::<Vec<_>>());
+    }
+}
+
+/// Rates of `paths` from the production allocator.
+fn allocate(caps: &[f64], paths: &[Vec<usize>]) -> Vec<f64> {
+    let mut fs = FairShare::new();
+    push_all(&mut fs, paths);
+    let mut rates = Vec::new();
+    fs.compute(caps, &mut rates);
+    rates
+}
+
+fn bits(rates: &[f64]) -> Vec<u64> {
+    rates.iter().map(|r| r.to_bits()).collect()
+}
+
 proptest! {
     #[test]
     fn allocation_is_feasible(
@@ -30,7 +55,7 @@ proptest! {
             .map(|p| p.into_iter().filter(|&l| l < num_links).collect::<Vec<_>>())
             .filter(|p: &Vec<usize>| !p.is_empty())
             .collect();
-        let rates = max_min_rates(&caps, &paths);
+        let rates = allocate(&caps, &paths);
         prop_assert_eq!(rates.len(), paths.len());
         let mut usage = vec![0.0f64; num_links];
         for (f, path) in paths.iter().enumerate() {
@@ -55,7 +80,7 @@ proptest! {
             .map(|p| p.into_iter().filter(|&l| l < num_links).collect::<Vec<_>>())
             .filter(|p: &Vec<usize>| !p.is_empty())
             .collect();
-        let rates = max_min_rates(&caps, &paths);
+        let rates = allocate(&caps, &paths);
         let mut usage = vec![0.0f64; num_links];
         for (f, path) in paths.iter().enumerate() {
             for &l in path {
@@ -80,40 +105,35 @@ proptest! {
     #[test]
     fn workspace_allocator_matches_reference_bit_for_bit(
         caps in proptest::collection::vec(1e6f64..1e10, 1..8),
+        stale_paths in random_paths(8, 8),
         seed_paths in random_paths(8, 16),
         loopbacks in 0usize..3,
     ) {
-        // The incremental workspace allocator must reproduce the naive
-        // reference implementation exactly — same freeze rounds, same
-        // floating-point operations, hence bit-identical rates.
+        // The incremental allocator must reproduce the naive reference
+        // exactly — same freeze rounds, same floating-point operations,
+        // hence bit-identical rates — also when reused after other flows
+        // came and went.
         let num_links = caps.len();
-        let mut paths: Vec<Vec<usize>> = seed_paths
-            .into_iter()
-            .map(|p| p.into_iter().filter(|&l| l < num_links).collect::<Vec<_>>())
-            .collect();
+        let keep = |seed: Vec<Vec<usize>>| -> Vec<Vec<usize>> {
+            seed.into_iter()
+                .map(|p| p.into_iter().filter(|&l| l < num_links).collect())
+                .collect()
+        };
+        let stale = keep(stale_paths);
+        let mut paths = keep(seed_paths);
         for _ in 0..loopbacks {
             paths.push(Vec::new());
         }
-        let reference = max_min_rates_ref(&caps, &paths);
-        let via_wrapper = max_min_rates(&caps, &paths);
-        let ref_bits: Vec<u64> = reference.iter().map(|r| r.to_bits()).collect();
-        prop_assert_eq!(
-            &ref_bits,
-            &via_wrapper.iter().map(|r| r.to_bits()).collect::<Vec<_>>()
-        );
-        // A reused (dirty) workspace must agree too.
-        let mut ws = FairshareWorkspace::new();
+        let mut fs = FairShare::new();
         let mut rates = Vec::new();
-        let paths32: Vec<Vec<u32>> = paths
-            .iter()
-            .map(|p| p.iter().map(|&l| l as u32).collect())
-            .collect();
-        ws.compute(&caps, &paths32, &mut rates);
-        ws.compute(&caps, &paths32, &mut rates);
-        prop_assert_eq!(
-            &ref_bits,
-            &rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>()
-        );
+        push_all(&mut fs, &stale);
+        fs.compute(&caps, &mut rates);
+        for _ in 0..stale.len() {
+            fs.swap_remove(0);
+        }
+        push_all(&mut fs, &paths);
+        fs.compute(&caps, &mut rates);
+        prop_assert_eq!(bits(&rates), bits(&max_min_rates_ref(&caps, &paths)));
     }
 
     #[test]
@@ -123,10 +143,8 @@ proptest! {
         loopbacks in 0usize..3,
         pad_links in 0usize..512,
     ) {
-        // The bounded-recompute (sparse) allocator must reproduce the
-        // reference exactly even when the capacity vector is mostly
-        // untouched padding — same freeze rounds, same floating-point
-        // operations, bit-identical rates.
+        // The incremental allocator must reproduce the reference exactly
+        // even when the capacity vector is mostly untouched padding.
         let num_real = caps.len();
         let mut caps = caps;
         caps.extend(std::iter::repeat_n(7.7e9, pad_links));
@@ -137,21 +155,22 @@ proptest! {
         for _ in 0..loopbacks {
             paths.push(Vec::new());
         }
-        let reference = max_min_rates_ref(&caps, &paths);
-        let ref_bits: Vec<u64> = reference.iter().map(|r| r.to_bits()).collect();
-        let paths32: Vec<Vec<u32>> = paths
+        // Spread the real links over the padded id space.
+        let spread = |l: usize| l * (caps.len() / num_real);
+        let spread_caps: Vec<f64> = {
+            let mut c = vec![7.7e9; caps.len()];
+            for l in 0..num_real {
+                c[spread(l)] = caps[l];
+            }
+            c
+        };
+        let spread_paths: Vec<Vec<usize>> = paths
             .iter()
-            .map(|p| p.iter().map(|&l| l as u32).collect())
+            .map(|p| p.iter().map(|&l| spread(l)).collect())
             .collect();
-        // A reused (dirty) workspace must agree too, across epochs.
-        let mut ws = FairshareWorkspace::new();
-        let mut rates = Vec::new();
-        ws.compute_sparse(&caps, &paths32, &mut rates);
-        ws.compute_sparse(&caps, &paths32, &mut rates);
-        prop_assert_eq!(
-            &ref_bits,
-            &rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>()
-        );
+        let reference = bits(&max_min_rates_ref(&caps, &paths));
+        prop_assert_eq!(&bits(&allocate(&caps, &paths)), &reference);
+        prop_assert_eq!(&bits(&allocate(&spread_caps, &spread_paths)), &reference);
     }
 
     #[test]
@@ -300,9 +319,222 @@ proptest! {
             }
             plain.drain_flow_log(&mut Recorder::on(&mut oracle));
             thinned.drain_flow_log(&mut Recorder::on(&mut raw));
+            prop_assert_eq!(thinned.check_slots(), Ok(()));
         }
         let suppressed = oracle.suppressed();
         prop_assert_eq!(raw.thinned, suppressed);
         prop_assert!(raw.events == oracle_out.events, "thinned log differs from the filter's output");
+    }
+}
+
+/// A network for the operation-sequence property: rack sizes, and the
+/// nodes operations draw endpoints from (equal endpoints make a
+/// loopback flow).
+struct Topology {
+    racks: &'static [usize],
+    palette: &'static [usize],
+}
+
+/// Three small racks: every link id is below 22.
+const SMALL: Topology = Topology {
+    racks: &[3, 3, 2],
+    palette: &[0, 1, 2, 3, 4, 5, 6, 7],
+};
+
+/// 10,000 nodes in 100 racks, endpoints in three far-apart racks: link
+/// ids reach 20,199 while only a few dozen links are ever loaded.
+const SCALE_10K: Topology = Topology {
+    racks: &[100; 100],
+    palette: &[0, 1, 2, 5050, 5051, 9997, 9998, 9999],
+};
+
+/// One step of a random network workload. Endpoint fields index the
+/// topology's palette; sizes are in MB.
+#[derive(Clone)]
+enum Op {
+    /// `start_flow`.
+    Start(usize, usize, u64),
+    /// `start_flows` with one reallocation for the whole batch.
+    Batch(Vec<(usize, usize, u64)>),
+    /// `cancel_flow` of the `n % live`-th live flow (in start order).
+    Cancel(usize),
+    /// `drain_finished` at `next_completion`.
+    Drain,
+}
+
+/// Prints valid Rust (with `use Op::*`), so a failing sequence pastes
+/// into a replay test.
+impl fmt::Debug for Op {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Op::Start(a, b, mb) => write!(f, "Start({a}, {b}, {mb})"),
+            Op::Batch(specs) => write!(f, "Batch(vec!{specs:?})"),
+            Op::Cancel(n) => write!(f, "Cancel({n})"),
+            Op::Drain => write!(f, "Drain"),
+        }
+    }
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    let flow = || (0usize..8, 0usize..8, 1u64..64);
+    prop_oneof![
+        3 => flow().prop_map(|(a, b, mb)| Op::Start(a, b, mb)),
+        1 => proptest::collection::vec(flow(), 1..5).prop_map(Op::Batch),
+        2 => (0usize..64).prop_map(Op::Cancel),
+        3 => Just(Op::Drain),
+    ]
+}
+
+/// Follows the flow log: the route and latest logged rate of every
+/// live flow, keyed by flow id.
+#[derive(Default)]
+struct LiveFlows {
+    flows: BTreeMap<u64, (Vec<usize>, f64)>,
+}
+
+impl EventSink for LiveFlows {
+    fn record(&mut self, _at: SimTime, event: &SimEvent) {
+        if let SimEvent::FlowStarted { flow, links, .. } = event {
+            let route: Vec<usize> = links.as_slice().iter().map(|&l| l as usize).collect();
+            // Loopbacks never log a rate; routed flows log their first
+            // one in the reallocation that admits them.
+            let rate = if route.is_empty() { f64::INFINITY } else { 0.0 };
+            self.flows.insert(*flow, (route, rate));
+        } else if let SimEvent::FlowRate { flow, rate_bps } = event {
+            self.flows.get_mut(flow).expect("rate of a live flow").1 = *rate_bps;
+        } else if let SimEvent::FlowFinished { flow, .. } = event {
+            self.flows.remove(flow);
+        }
+    }
+}
+
+/// The reference rates of the live flows, in flow-id order. Link ids
+/// are renumbered densely in ascending order first, which leaves every
+/// operation of the reference unchanged (it skips unloaded links and
+/// visits the rest in ascending order) while keeping it O(live links).
+fn reference_rates(live: &LiveFlows, cfg: NetConfig, nodes: usize) -> Vec<f64> {
+    let used: BTreeSet<usize> = live
+        .flows
+        .values()
+        .flat_map(|(r, _)| r.iter().copied())
+        .collect();
+    let dense: BTreeMap<usize, usize> = used.iter().enumerate().map(|(d, &l)| (l, d)).collect();
+    let caps: Vec<f64> = used
+        .iter()
+        .map(|&l| if l < 2 * nodes { cfg.node_bps } else { cfg.rack_bps } as f64)
+        .collect();
+    let paths: Vec<Vec<usize>> = live
+        .flows
+        .values()
+        .map(|(r, _)| r.iter().map(|l| dense[l]).collect())
+        .collect();
+    max_min_rates_ref(&caps, &paths)
+}
+
+/// Runs `ops` and, after every one, checks the network's slot-aligned
+/// state (fair-share incidence, `index_of`) and that every live flow's
+/// rate equals the reference's bit for bit.
+fn run_ops(topo: &Topology, mixed_capacities: bool, ops: &[Op]) -> Result<(), String> {
+    let cfg = if mixed_capacities {
+        NetConfig {
+            node_bps: 1_000_000_000,
+            rack_bps: 1_500_000_000,
+        }
+    } else {
+        NetConfig::uniform(100_000_000)
+    };
+    let nodes: usize = topo.racks.iter().sum();
+    let node = |i: usize| topo.palette[i % topo.palette.len()];
+    let mut net = Network::new(topo.racks, cfg);
+    net.enable_flow_log(None);
+    let mut live = LiveFlows::default();
+    let mut ids: Vec<FlowId> = Vec::new();
+    let mut now = SimTime::ZERO;
+    for (step, op) in ops.iter().enumerate() {
+        now += SimDuration::from_millis(100);
+        match op {
+            Op::Start(a, b, mb) => {
+                ids.push(net.start_flow(now, node(*a), node(*b), mb * 1_000_000))
+            }
+            Op::Batch(specs) => {
+                let specs: Vec<(usize, usize, u64)> = specs
+                    .iter()
+                    .map(|&(a, b, mb)| (node(a), node(b), mb * 1_000_000))
+                    .collect();
+                ids.extend(net.start_flows(now, &specs));
+            }
+            Op::Cancel(n) if !ids.is_empty() => {
+                let id = ids.remove(n % ids.len());
+                if net.cancel_flow(now, id).is_none() {
+                    return Err(format!(
+                        "step {step}: live flow {id:?} could not be cancelled"
+                    ));
+                }
+            }
+            Op::Cancel(_) => {}
+            Op::Drain => {
+                if let Some(t) = net.next_completion() {
+                    now = now.max(t);
+                }
+                let done = net.drain_finished(now);
+                ids.retain(|id| done.iter().all(|(f, _)| f != id));
+            }
+        }
+        net.drain_flow_log(&mut Recorder::on(&mut live));
+        net.check_slots()
+            .map_err(|e| format!("step {step} ({op:?}): {e}"))?;
+        let got: Vec<f64> = live.flows.values().map(|(_, rate)| *rate).collect();
+        let want = reference_rates(&live, cfg, nodes);
+        if bits(&got) != bits(&want) {
+            return Err(format!(
+                "step {step} ({op:?}): rates {got:?} differ from the reference {want:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Runs one generated case, turning a failure into a replayable test
+/// (the vendored proptest cannot shrink, so the full sequence is it).
+fn check_case(
+    topo_name: &str,
+    topo: &Topology,
+    mixed: bool,
+    ops: &[Op],
+) -> Result<(), TestCaseError> {
+    run_ops(topo, mixed, ops).map_err(|e| {
+        TestCaseError::fail(format!(
+            "{e}\nreplay:\n#[test]\nfn replay() {{\n    use Op::*;\n    \
+             run_ops(&{topo_name}, {mixed}, &{ops:?}).unwrap();\n}}"
+        ))
+    })
+}
+
+proptest! {
+    /// Starts (single and batched, loopbacks included), cancellations
+    /// and completions keep the fair-share incidence consistent and the
+    /// rates bit-identical to the reference.
+    #[test]
+    fn incidence_tracks_random_operation_sequences(
+        ops in proptest::collection::vec(op_strategy(), 1..60),
+        mixed in any::<bool>(),
+    ) {
+        check_case("SMALL", &SMALL, mixed, &ops)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// Soak variant of `incidence_tracks_random_operation_sequences` at
+    /// 10k-node link ids. Run with
+    /// `cargo test --release -p netsim --test proptests -- --ignored`.
+    #[test]
+    #[ignore]
+    fn incidence_soak_at_10k_node_link_ids(
+        ops in proptest::collection::vec(op_strategy(), 1..80),
+        mixed in any::<bool>(),
+    ) {
+        check_case("SCALE_10K", &SCALE_10K, mixed, &ops)?;
     }
 }
