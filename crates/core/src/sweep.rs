@@ -1,6 +1,10 @@
 //! Multi-seed sampling: the paper reports each configuration as a
 //! boxplot over 30 randomized runs; this module fans those runs out
-//! across threads and summarizes them.
+//! across threads and summarizes them. [`par_map`] is the workspace's
+//! one thread pool; the `sweep` crate runs its shards on it too.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use simkit::stats::{percentile_sorted, Boxplot, StatsError, Summary};
 
@@ -77,6 +81,46 @@ impl SweepSummary {
     }
 }
 
+/// Runs `f(i)` for every `i` in `0..len` on up to `threads` scoped
+/// worker threads and returns the results in index order. Workers claim
+/// indices from a shared atomic cursor and store each result in its own
+/// pre-allocated slot, so the output is independent of thread count,
+/// scheduling and finish order.
+///
+/// # Panics
+///
+/// Re-raises a panic of `f` once every worker has joined.
+pub fn par_map<R, F>(len: usize, threads: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = (0..len).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(len).max(1) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= len {
+                    break;
+                }
+                let result = f(i);
+                // A poisoned slot only means another worker panicked
+                // mid-store; the stored value is still ours to replace.
+                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .expect("a worker filled every slot")
+        })
+        .collect()
+}
+
 /// Runs `f(seed)` for every seed in `0..count`, in parallel across
 /// available cores, preserving seed order. Seeds whose run fails (e.g. a
 /// random failure scenario that destroys a stripe) are skipped — `f`
@@ -91,32 +135,7 @@ pub fn sweep_seeds<F>(count: u64, f: F) -> SweepSummary
 where
     F: Fn(u64) -> Option<f64> + Sync,
 {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(count as usize)
-        .max(1);
-    let mut results: Vec<Option<f64>> = vec![None; count as usize];
-    let next = std::sync::atomic::AtomicU64::new(0);
-    let slots: Vec<std::sync::Mutex<Option<f64>>> =
-        (0..count).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let seed = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if seed >= count {
-                    break;
-                }
-                *slots[seed as usize].lock().unwrap() = f(seed);
-            });
-        }
-    });
-    for (i, slot) in slots.into_iter().enumerate() {
-        results[i] = slot.into_inner().unwrap();
-    }
-    let samples: Vec<f64> = results.into_iter().flatten().collect();
-    assert!(!samples.is_empty(), "every seed failed");
-    SweepSummary::new(samples)
+    sweep_seeds_vec(count, |seed| f(seed).map(|v| vec![v])).remove(0)
 }
 
 /// Like [`sweep_seeds`] but each seed yields a *vector* of values (e.g.
@@ -134,26 +153,10 @@ where
 {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
-        .unwrap_or(4)
-        .min(count as usize)
-        .max(1);
-    let next = std::sync::atomic::AtomicU64::new(0);
-    let slots: Vec<std::sync::Mutex<Option<Vec<f64>>>> =
-        (0..count).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let seed = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if seed >= count {
-                    break;
-                }
-                *slots[seed as usize].lock().unwrap() = f(seed);
-            });
-        }
-    });
-    let rows: Vec<Vec<f64>> = slots
+        .unwrap_or(4);
+    let rows: Vec<Vec<f64>> = par_map(count as usize, threads, |i| f(i as u64))
         .into_iter()
-        .filter_map(|slot| slot.into_inner().unwrap())
+        .flatten()
         .collect();
     assert!(!rows.is_empty(), "every seed failed");
     let width = rows[0].len();
@@ -169,6 +172,19 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn par_map_keeps_index_order_at_any_thread_count() {
+        let squares: Vec<usize> = (0..50).map(|i| i * i).collect();
+        for threads in [0, 1, 3, 8] {
+            assert_eq!(
+                par_map(50, threads, |i| i * i),
+                squares,
+                "{threads} threads"
+            );
+        }
+        assert!(par_map(0, 4, |i| i).is_empty());
+    }
 
     #[test]
     fn sweep_vec_transposes() {

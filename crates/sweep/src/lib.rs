@@ -3,9 +3,10 @@
 //! The paper's evaluation is a grid: scheduling policy × erasure code ×
 //! failure pattern × workload × seed. [`SweepSpec`] describes that grid
 //! once; [`SweepSpec::shards`] expands it into an ordered shard list;
-//! [`run_sweep`] executes the shards on a work-stealing pool of OS
-//! threads and merges the results into one [`SweepReport`] (JSON and a
-//! human table) with LF/EDF/BDF deltas per grid axis.
+//! [`run_sweep`] executes the shards on `dfs::sweep::par_map`, the
+//! workspace's one work-stealing pool of OS threads, and merges the
+//! results into one [`SweepReport`] (JSON and a human table) with
+//! LF/EDF/BDF deltas per grid axis.
 //!
 //! # Determinism contract
 //!
