@@ -7,7 +7,6 @@
 //! *in failure mode* while a MapReduce job runs.
 
 use crate::topology::{NodeId, RackId, Topology};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -47,7 +46,7 @@ impl fmt::Display for FailureError {
 impl std::error::Error for FailureError {}
 
 /// A set of failed nodes and/or racks, applied before a run.
-#[derive(Clone, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct FailureScenario {
     nodes: BTreeSet<NodeId>,
     racks: BTreeSet<RackId>,

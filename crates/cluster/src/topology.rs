@@ -6,19 +6,14 @@
 //! switch. Rack membership is the only topology information the
 //! schedulers need; link capacities live in the `netsim` crate.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a node (server). Dense indices `0..num_nodes`.
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 /// Identifies a rack. Dense indices `0..num_racks`.
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RackId(pub u32);
 
 impl NodeId {
@@ -48,7 +43,7 @@ impl fmt::Display for RackId {
 }
 
 /// Static per-node configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NodeSpec {
     /// The rack this node belongs to.
     pub rack: RackId,
@@ -68,7 +63,7 @@ pub struct NodeSpec {
 /// analysis/simulation default) or [`Topology::with_rack_sizes`] for
 /// uneven racks (the motivating example's 3+2 cluster, the testbed's
 /// 3×4 layout).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Topology {
     nodes: Vec<NodeSpec>,
     rack_members: Vec<Vec<NodeId>>,
@@ -288,7 +283,7 @@ mod tests {
         assert_eq!(NodeId(3).to_string(), "node3");
         assert_eq!(RackId(1).to_string(), "rack1");
         let t = Topology::homogeneous(2, 2, 4, 1);
-        // Round-trip through serde's data model (via Debug equality).
+        // No serializer is involved: a cloned topology compares equal.
         let t2 = t.clone();
         assert_eq!(t, t2);
     }

@@ -5,13 +5,10 @@
 //! mirroring the paper's Figure 2 notation.
 
 use erasure::CodeParams;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a stripe within one file layout.
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct StripeId(pub u32);
 
 impl StripeId {
@@ -29,9 +26,7 @@ impl fmt::Display for StripeId {
 
 /// Addresses one block: a stripe and a position within it
 /// (`0..k` native, `k..n` parity).
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BlockRef {
     /// The stripe this block belongs to.
     pub stripe: StripeId,
@@ -47,7 +42,7 @@ impl fmt::Display for BlockRef {
 
 /// The static shape of an erasure-coded file: `(n, k)` parameters and the
 /// native block count `F`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StripeLayout {
     params: CodeParams,
     num_native: usize,
