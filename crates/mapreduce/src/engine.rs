@@ -437,6 +437,11 @@ impl JobRt {
         self.finished_at.is_some()
     }
 
+    /// True while some map task waits in a pool for a slot.
+    fn has_unassigned_maps(&self) -> bool {
+        self.unassigned_normal > 0 || !self.degraded_pool.is_empty()
+    }
+
     fn shuffle_bytes_per_reducer(&self, block_bytes: u64) -> u64 {
         if self.spec.num_reduce_tasks == 0 {
             return 0;
@@ -960,10 +965,19 @@ impl Engine {
             }
             return;
         }
-        let assigned = {
+        // The policy is consulted only when it could claim a task: with
+        // no free slot or no pooled task every `take_*` would fail.
+        let can_assign = self.free_map[slave.index()] > 0
+            && self
+                .fifo
+                .iter()
+                .any(|job| self.jobs[job.index()].has_unassigned_maps());
+        let assigned = if can_assign {
             let mut hb = Heartbeat::new(self, slave);
             scheduler.assign_maps(&mut hb);
             hb.into_assigned()
+        } else {
+            Vec::new()
         };
         for (job, task) in assigned {
             if rec.is_enabled() && !self.obs_job_started[job.index()] {
@@ -1810,7 +1824,7 @@ impl Engine {
             let mut candidate: Option<(JobId, MapTaskId, f64)> = None;
             for &job in &self.fifo {
                 let j = &self.jobs[job.index()];
-                if !j.degraded_pool.is_empty() || j.unassigned_normal > 0 {
+                if j.has_unassigned_maps() {
                     break; // assignable work exists; no speculation yet
                 }
                 if j.completed_maps == 0 {
@@ -2012,33 +2026,8 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::Heartbeat;
+    use crate::sched::Greedy;
     use ecstore::placement::RackAwarePlacement;
-
-    /// Locality-first over all free slots: the engine tests need *some*
-    /// policy; the real ones live in the `scheduler` crate.
-    struct Greedy;
-
-    impl MapScheduler for Greedy {
-        fn assign_maps(&mut self, hb: &mut Heartbeat<'_>) {
-            'outer: while hb.free_map_slots() > 0 {
-                for job in hb.jobs() {
-                    if hb.take_node_local(job).is_some()
-                        || hb.take_rack_local(job).is_some()
-                        || hb.take_remote(job).is_some()
-                        || hb.take_degraded(job).is_some()
-                    {
-                        continue 'outer;
-                    }
-                }
-                break;
-            }
-        }
-
-        fn name(&self) -> &'static str {
-            "greedy"
-        }
-    }
 
     fn base_engine(failure: FailureScenario, seed: u64, spec: JobSpec) -> Engine {
         let topo = Topology::homogeneous(2, 4, 2, 1);
@@ -2256,31 +2245,8 @@ mod tests {
 #[cfg(test)]
 mod feature_tests {
     use super::*;
-    use crate::sched::Heartbeat;
+    use crate::sched::Greedy;
     use ecstore::placement::RackAwarePlacement;
-
-    struct Greedy;
-
-    impl MapScheduler for Greedy {
-        fn assign_maps(&mut self, hb: &mut Heartbeat<'_>) {
-            'outer: while hb.free_map_slots() > 0 {
-                for job in hb.jobs() {
-                    if hb.take_node_local(job).is_some()
-                        || hb.take_rack_local(job).is_some()
-                        || hb.take_remote(job).is_some()
-                        || hb.take_degraded(job).is_some()
-                    {
-                        continue 'outer;
-                    }
-                }
-                break;
-            }
-        }
-
-        fn name(&self) -> &'static str {
-            "greedy"
-        }
-    }
 
     fn engine_with(config: EngineConfig, seed: u64) -> Engine {
         let topo = Topology::homogeneous(2, 4, 2, 1);
@@ -2410,31 +2376,8 @@ mod feature_tests {
 mod speculation_tests {
     use super::*;
     use crate::metrics::TaskDetail;
-    use crate::sched::Heartbeat;
+    use crate::sched::Greedy;
     use ecstore::placement::RackAwarePlacement;
-
-    struct Greedy;
-
-    impl MapScheduler for Greedy {
-        fn assign_maps(&mut self, hb: &mut Heartbeat<'_>) {
-            'outer: while hb.free_map_slots() > 0 {
-                for job in hb.jobs() {
-                    if hb.take_node_local(job).is_some()
-                        || hb.take_rack_local(job).is_some()
-                        || hb.take_remote(job).is_some()
-                        || hb.take_degraded(job).is_some()
-                    {
-                        continue 'outer;
-                    }
-                }
-                break;
-            }
-        }
-
-        fn name(&self) -> &'static str {
-            "greedy"
-        }
-    }
 
     /// A heterogeneous cluster where one node is 10x slower: the classic
     /// straggler setup. Half of the blocks land on fast nodes.
@@ -2634,31 +2577,8 @@ mod speculation_tests {
 #[cfg(test)]
 mod churn_tests {
     use super::*;
-    use crate::sched::Heartbeat;
+    use crate::sched::Greedy;
     use ecstore::placement::RackAwarePlacement;
-
-    struct Greedy;
-
-    impl MapScheduler for Greedy {
-        fn assign_maps(&mut self, hb: &mut Heartbeat<'_>) {
-            'outer: while hb.free_map_slots() > 0 {
-                for job in hb.jobs() {
-                    if hb.take_node_local(job).is_some()
-                        || hb.take_rack_local(job).is_some()
-                        || hb.take_remote(job).is_some()
-                        || hb.take_degraded(job).is_some()
-                    {
-                        continue 'outer;
-                    }
-                }
-                break;
-            }
-        }
-
-        fn name(&self) -> &'static str {
-            "greedy"
-        }
-    }
 
     fn map_only_spec(secs: u64) -> JobSpec {
         JobSpec::builder("t")

@@ -16,7 +16,9 @@
 //!
 //! Scheduling policy is pluggable through [`sched::MapScheduler`]; the
 //! paper's three policies (locality-first, basic degraded-first,
-//! enhanced degraded-first) live in the `scheduler` crate.
+//! enhanced degraded-first) live in the `scheduler` crate. The engine
+//! consults a policy only on heartbeats that can assign: the slave has a
+//! free map slot and some running job has an unassigned map task.
 //!
 //! # Example
 //!
@@ -33,6 +35,7 @@
 //!
 //! struct Greedy;
 //! impl MapScheduler for Greedy {
+//!     // Called only with a free slot and pooled work in some job.
 //!     fn assign_maps(&mut self, hb: &mut Heartbeat<'_>) {
 //!         while hb.free_map_slots() > 0 {
 //!             let Some(job) = hb.jobs().first().copied() else { break };

@@ -6,6 +6,11 @@
 //! and the *actuator* (`take_*` methods claim a task and consume a map
 //! slot). Reduce-task assignment is not policy-controlled — as in
 //! Hadoop, reducers have no locality and the engine hands them out FIFO.
+//!
+//! The engine consults the policy only on heartbeats that can assign:
+//! the slave has a free map slot and some running job still has an
+//! unassigned normal or degraded task. On any other heartbeat every
+//! `take_*` would return `None`, so the call is skipped.
 
 use cluster::{NodeId, RackId};
 use simkit::time::SimTime;
@@ -15,8 +20,19 @@ use crate::job::{JobId, MapLocality, MapTaskId};
 
 /// A map-task scheduling policy (the paper's Algorithms 1–3 implement
 /// this in the `scheduler` crate).
+///
+/// A policy decides only when a task can be claimed: see
+/// [`MapScheduler::assign_maps`] for which heartbeats reach it.
 pub trait MapScheduler {
     /// Claims tasks for the slave whose heartbeat is being served.
+    ///
+    /// The engine calls this only when [`Heartbeat::free_map_slots`] is
+    /// positive and at least one job in [`Heartbeat::jobs`] has
+    /// [`Heartbeat::has_normal`] or [`Heartbeat::has_degraded`]. Other
+    /// heartbeats never reach the policy, so a policy must not change
+    /// state on a call that could claim nothing (the paper's policies
+    /// hold none; delay scheduling's wait clock moves only while normal
+    /// work is pooled).
     fn assign_maps(&mut self, hb: &mut Heartbeat<'_>);
 
     /// Short policy name for reports ("LF", "BDF", "EDF").
@@ -122,15 +138,18 @@ impl<'a> Heartbeat<'a> {
     /// `E[t_s]`: mean of [`Heartbeat::slave_local_work_secs`] over live
     /// slaves.
     pub fn mean_local_work_secs(&self, job: JobId) -> f64 {
-        let alive = self.engine.cstate.alive_nodes();
-        if alive.is_empty() {
+        let cstate = &self.engine.cstate;
+        let alive = cstate.num_alive();
+        if alive == 0 {
             return 0.0;
         }
-        alive
-            .iter()
-            .map(|&n| self.slave_local_work_secs(job, n))
+        self.engine
+            .topo
+            .node_ids()
+            .filter(|&n| cstate.is_alive(n))
+            .map(|n| self.slave_local_work_secs(job, n))
             .sum::<f64>()
-            / alive.len() as f64
+            / alive as f64
     }
 
     /// `t_r`: seconds since the last degraded task was assigned to the
@@ -179,22 +198,12 @@ impl<'a> Heartbeat<'a> {
     /// node of this slave's rack, preferring the node with the largest
     /// backlog.
     pub fn take_rack_local(&mut self, job: JobId) -> Option<MapTaskId> {
-        if self.free_map_slots() == 0 {
+        if self.free_map_slots() == 0 || !self.has_normal(job) {
             return None;
         }
-        let slave = self.slave;
-        let rack = self.engine.topo.rack_of(slave);
-        let members: Vec<NodeId> = self.engine.topo.nodes_in_rack(rack).to_vec();
-        let source = members
-            .into_iter()
-            .filter(|&m| m != slave)
-            .max_by_key(|&m| {
-                (
-                    self.engine.jobs[job.index()].node_local_pool[m.index()].len(),
-                    std::cmp::Reverse(m),
-                )
-            })
-            .filter(|&m| !self.engine.jobs[job.index()].node_local_pool[m.index()].is_empty())?;
+        let topo = &self.engine.topo;
+        let members = topo.nodes_in_rack(topo.rack_of(self.slave));
+        let source = self.largest_backlog(job, members.iter().copied())?;
         let task = self.engine.jobs[job.index()].node_local_pool[source.index()]
             .pop()
             .expect("non-empty pool");
@@ -205,26 +214,14 @@ impl<'a> Heartbeat<'a> {
     /// Claims any remaining normal task (its block will be fetched across
     /// racks), preferring the node with the largest backlog.
     pub fn take_remote(&mut self, job: JobId) -> Option<MapTaskId> {
-        if self.free_map_slots() == 0 {
+        if self.free_map_slots() == 0 || !self.has_normal(job) {
             return None;
         }
-        let slave = self.slave;
-        let source = self
-            .engine
-            .topo
-            .node_ids()
-            .filter(|&m| m != slave)
-            .max_by_key(|&m| {
-                (
-                    self.engine.jobs[job.index()].node_local_pool[m.index()].len(),
-                    std::cmp::Reverse(m),
-                )
-            })
-            .filter(|&m| !self.engine.jobs[job.index()].node_local_pool[m.index()].is_empty())?;
+        let source = self.largest_backlog(job, self.engine.topo.node_ids())?;
         let task = self.engine.jobs[job.index()].node_local_pool[source.index()]
             .pop()
             .expect("non-empty pool");
-        let locality = self.engine.classify(source, slave);
+        let locality = self.engine.classify(source, self.slave);
         self.claim_normal(job, task, locality);
         Some(task)
     }
@@ -246,11 +243,53 @@ impl<'a> Heartbeat<'a> {
         Some(task)
     }
 
+    /// The node among `candidates` (the slave excluded) holding the
+    /// most unassigned tasks of `job`, ties to the lowest id; `None` if
+    /// all their pools are empty.
+    fn largest_backlog(
+        &self,
+        job: JobId,
+        candidates: impl Iterator<Item = NodeId>,
+    ) -> Option<NodeId> {
+        let pools = &self.engine.jobs[job.index()].node_local_pool;
+        candidates
+            .filter(|&m| m != self.slave)
+            .max_by_key(|&m| (pools[m.index()].len(), std::cmp::Reverse(m)))
+            .filter(|&m| !pools[m.index()].is_empty())
+    }
+
     fn claim_normal(&mut self, job: JobId, task: MapTaskId, locality: MapLocality) {
         let slave = self.slave;
         self.engine.jobs[job.index()].unassigned_normal -= 1;
         self.engine.mark_assigned(job, task, slave, locality);
         self.assigned.push((job, task));
+    }
+}
+
+/// Locality-first over every free slot and every job: the engine's unit
+/// tests need *some* policy; the paper's live in the `scheduler` crate.
+#[cfg(test)]
+pub(crate) struct Greedy;
+
+#[cfg(test)]
+impl MapScheduler for Greedy {
+    fn assign_maps(&mut self, hb: &mut Heartbeat<'_>) {
+        'outer: while hb.free_map_slots() > 0 {
+            for job in hb.jobs() {
+                if hb.take_node_local(job).is_some()
+                    || hb.take_rack_local(job).is_some()
+                    || hb.take_remote(job).is_some()
+                    || hb.take_degraded(job).is_some()
+                {
+                    continue 'outer;
+                }
+            }
+            break;
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "greedy"
     }
 }
 
@@ -266,8 +305,8 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    /// Captures the view the very first heartbeat sees, then behaves
-    /// greedily so the run completes.
+    /// Captures the view the very first heartbeat sees, then defers to
+    /// [`Greedy`] so the run completes.
     struct Spy {
         seen: Rc<RefCell<Option<Snapshot>>>,
     }
@@ -313,18 +352,7 @@ mod tests {
                     has_normal: hb.has_normal(job),
                 });
             }
-            'outer: while hb.free_map_slots() > 0 {
-                for job in hb.jobs() {
-                    if hb.take_node_local(job).is_some()
-                        || hb.take_rack_local(job).is_some()
-                        || hb.take_remote(job).is_some()
-                        || hb.take_degraded(job).is_some()
-                    {
-                        continue 'outer;
-                    }
-                }
-                break;
-            }
+            Greedy.assign_maps(hb);
         }
 
         fn name(&self) -> &'static str {

@@ -163,7 +163,9 @@ pub struct Aggregator {
     active_fetches: u64,
     // Integrals.
     busy_slot_secs: Vec<f64>,
-    link_bits: BTreeMap<u32, Vec<f64>>,
+    /// Bits carried per bucket, indexed by link id; empty for a link
+    /// that never carried traffic.
+    link_bits: Vec<Vec<f64>>,
     overlap_secs: f64,
     fetch_active_secs: f64,
     // Entity state.
@@ -172,7 +174,9 @@ pub struct Aggregator {
     /// Live flows: traversed links, current rate, and requested bytes
     /// (the last lets `fetch_cancelled` attribute redundant traffic).
     flows: BTreeMap<u64, (LinkSet, f64, u64)>,
-    link_rate: BTreeMap<u32, f64>,
+    /// Summed rate of the live flows on each link, indexed by link id
+    /// and as long as `link_bits`.
+    link_rate: Vec<f64>,
     // Records.
     finished: Vec<Finished>,
     jobs_submitted: usize,
@@ -224,13 +228,13 @@ impl Aggregator {
             active_normal_maps: 0,
             active_fetches: 0,
             busy_slot_secs: Vec::new(),
-            link_bits: BTreeMap::new(),
+            link_bits: Vec::new(),
             overlap_secs: 0.0,
             fetch_active_secs: 0.0,
             attempts: BTreeMap::new(),
             reduces: BTreeMap::new(),
             flows: BTreeMap::new(),
-            link_rate: BTreeMap::new(),
+            link_rate: Vec::new(),
             finished: Vec::new(),
             jobs_submitted: 0,
             jobs_finished: 0,
@@ -263,7 +267,7 @@ impl Aggregator {
             w.window_micros = w.window_micros.saturating_mul(2);
             pair_merge(&mut w.jif_window_peak, usize::max);
             pair_merge(&mut self.busy_slot_secs, |a, b| a + b);
-            for bits in self.link_bits.values_mut() {
+            for bits in &mut self.link_bits {
                 pair_merge(bits, |a, b| a + b);
             }
         }
@@ -291,9 +295,8 @@ impl Aggregator {
                 }
                 self.busy_slot_secs[bucket_idx] += self.active_maps as f64 * dt;
             }
-            for (&link, &rate) in &self.link_rate {
+            for (bits, &rate) in self.link_bits.iter_mut().zip(&self.link_rate) {
                 if rate > 0.0 {
-                    let bits = self.link_bits.entry(link).or_default();
                     if bits.len() <= bucket_idx {
                         bits.resize(bucket_idx + 1, 0.0);
                     }
@@ -318,6 +321,25 @@ impl Aggregator {
         }
         self.last_t = to;
         self.end_t = self.end_t.max(to);
+    }
+
+    /// The summed rate of `link`, growing the per-link vectors on its
+    /// first touch.
+    fn link_rate_mut(&mut self, link: u32) -> &mut f64 {
+        let i = link as usize;
+        if self.link_rate.len() <= i {
+            self.link_rate.resize(i + 1, 0.0);
+            self.link_bits.resize_with(i + 1, Vec::new);
+        }
+        &mut self.link_rate[i]
+    }
+
+    /// Every link that carried traffic, in id order, with its per-bucket
+    /// bits.
+    fn used_links(&self) -> impl Iterator<Item = (u32, &Vec<f64>)> {
+        (0u32..)
+            .zip(&self.link_bits)
+            .filter(|(_, bits)| !bits.is_empty())
     }
 
     fn close_attempt(&mut self, key: (u32, u32, bool)) -> Option<Attempt> {
@@ -364,8 +386,10 @@ impl Aggregator {
     /// that structurally.
     pub fn resident_state_size(&self) -> usize {
         self.busy_slot_secs.len()
-            + self.link_bits.values().map(Vec::len).sum::<usize>()
-            + self.link_bits.len()
+            + self
+                .used_links()
+                .map(|(_, bits)| bits.len() + 1)
+                .sum::<usize>()
             + self.link_rate.len()
             + self.attempts.len()
             + self.reduces.len()
@@ -432,9 +456,8 @@ impl Aggregator {
             self.busy_slot_secs.iter().map(|&b| b / denom).collect()
         };
         let link_utilization: Vec<LinkUsage> = self
-            .link_bits
-            .iter()
-            .map(|(&link, bits)| {
+            .used_links()
+            .map(|(link, bits)| {
                 let total_bits: f64 = bits.iter().sum();
                 let span_secs = bits.len() as f64 * bucket_secs;
                 let mean_bps = total_bits / span_secs;
@@ -535,9 +558,8 @@ impl Aggregator {
             self.busy_slot_secs.iter().map(|&b| b / denom).collect()
         };
         let link_utilization: Vec<LinkUsage> = self
-            .link_bits
-            .iter()
-            .map(|(&link, bits)| {
+            .used_links()
+            .map(|(link, bits)| {
                 let total_bits: f64 = bits.iter().sum();
                 let span_secs = bits.len() as f64 * bucket_secs;
                 let mean_bps = total_bits / span_secs;
@@ -800,7 +822,7 @@ impl EventSink for Aggregator {
                     let (links, old) = (*links, *rate);
                     *rate = rate_bps;
                     for &link in links.as_slice() {
-                        let sum = self.link_rate.entry(link).or_insert(0.0);
+                        let sum = self.link_rate_mut(link);
                         *sum = (*sum + rate_bps - old).max(0.0);
                     }
                 }
@@ -808,7 +830,7 @@ impl EventSink for Aggregator {
             SimEvent::FlowFinished { flow, .. } => {
                 if let Some((links, rate, _)) = self.flows.remove(&flow) {
                     for &link in links.as_slice() {
-                        let sum = self.link_rate.entry(link).or_insert(0.0);
+                        let sum = self.link_rate_mut(link);
                         *sum = (*sum - rate).max(0.0);
                     }
                 }
@@ -1096,6 +1118,51 @@ mod tests {
         assert_eq!(l0.mean_bps, 5e8);
         assert_eq!(l0.mean_utilization, Some(0.5));
         assert_eq!(l0.peak_bps, 5e8);
+    }
+
+    #[test]
+    fn sparse_link_ids_report_only_links_that_carried_traffic() {
+        // Flow 1 crosses links 700 and 2 at 4e8 over [0, 15); flow 3
+        // joins link 2 at 6e8 over [5, 20); flow 2 sits on link 5 at
+        // rate 0 throughout. 10 s buckets.
+        let record = |a: &mut Aggregator| {
+            let t = SimTime::from_secs;
+            let start = |flow, links: &[u32]| SimEvent::FlowStarted {
+                flow,
+                src: 0,
+                dst: 1,
+                bytes: 0,
+                links: LinkSet::from_slice(links),
+            };
+            let rate = |flow, rate_bps| SimEvent::FlowRate { flow, rate_bps };
+            let finish = |flow| SimEvent::FlowFinished {
+                flow,
+                cancelled: false,
+            };
+            a.record(t(0), &start(1, &[700, 2]));
+            a.record(t(0), &rate(1, 4e8));
+            a.record(t(0), &start(2, &[5]));
+            a.record(t(0), &rate(2, 0.0));
+            a.record(t(0), &start(3, &[2]));
+            a.record(t(5), &rate(3, 6e8));
+            a.record(t(15), &finish(1));
+            a.record(t(20), &finish(3));
+            a.record(t(20), &finish(2));
+        };
+        for (label, mut a) in [("exact", agg()), ("windowed", windowed(10, 64))] {
+            record(&mut a);
+            let links = a.report().link_utilization;
+            let ids: Vec<u32> = links.iter().map(|l| l.link).collect();
+            assert_eq!(ids, [2, 700], "{label}");
+            // Link 2: buckets of 2e9 + 5e9 and 5e9 + 3e9 bits.
+            assert_eq!(links[0].mean_bps, 7.5e8, "{label}");
+            assert_eq!(links[0].peak_bps, 8e8, "{label}");
+            // Link 700: buckets of 4e9 and 2e9 bits.
+            assert_eq!(links[1].mean_bps, 3e8, "{label}");
+            assert_eq!(links[1].peak_bps, 4e8, "{label}");
+            // Neither id has a configured capacity.
+            assert!(links.iter().all(|l| l.mean_utilization.is_none()));
+        }
     }
 
     #[test]

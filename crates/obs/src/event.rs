@@ -64,6 +64,12 @@ pub struct LinkSet {
 }
 
 impl LinkSet {
+    /// The largest link index a parsed trace may name. Consumers such as
+    /// the `Aggregator` index per-link state by link id, so a trace read
+    /// from outside must not size that state at will; a million links
+    /// cover a cluster of half a million nodes.
+    pub const MAX_LINK: u32 = (1 << 20) - 1;
+
     /// The traversed link indices as a slice.
     pub fn as_slice(&self) -> &[u32] {
         &self.links[..self.len as usize]

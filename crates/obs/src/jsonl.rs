@@ -238,8 +238,13 @@ pub fn parse_line(line: &str) -> Result<(SimTime, SimEvent), String> {
         for (i, item) in items.iter().enumerate() {
             let x = item
                 .as_f64()
-                .filter(|x| (0.0..=u32::MAX as f64).contains(x) && x.fract() == 0.0)
-                .ok_or_else(|| "\"links\" entry is not a link index".to_string())?;
+                .filter(|x| (0.0..=f64::from(LinkSet::MAX_LINK)).contains(x) && x.fract() == 0.0)
+                .ok_or_else(|| {
+                    format!(
+                        "\"links\" entry is not a link index (0..={})",
+                        LinkSet::MAX_LINK
+                    )
+                })?;
             set.links[i] = x as u32;
         }
         Ok(set)
@@ -716,6 +721,14 @@ mod tests {
         assert!(
             parse_line("{\"t\":0.5,\"ev\":\"node_failed\",\"node\":0}").is_err(),
             "fractional timestamp"
+        );
+        let flow = |link: u32| {
+            format!("{{\"t\":0,\"ev\":\"flow_started\",\"flow\":1,\"src\":0,\"dst\":1,\"bytes\":8,\"links\":[0,{link}]}}")
+        };
+        assert!(parse_line(&flow(LinkSet::MAX_LINK)).is_ok());
+        assert!(
+            parse_line(&flow(LinkSet::MAX_LINK + 1)).is_err(),
+            "link index past the bound"
         );
     }
 
